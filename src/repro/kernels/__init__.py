@@ -1,16 +1,13 @@
 """Pluggable compute kernels for the simulator's sequential hot loops.
 
-The per-core ceiling of the simulator is set by three loops that resist
-NumPy vectorisation because each iteration depends on detector/arbiter state
-carried from the previous one: the dead-time winner scan of
-:meth:`~repro.spad.device.SpadDevice.detect_in_windows`, the per-channel
-window resolution behind
-:func:`~repro.spad.array.detect_in_windows_multichannel`, and the per-slot
-:meth:`~repro.noc.arbitration.RoundRobinArbiter.grant` walk of
-:meth:`~repro.noc.bus.OpticalBus.run`.  This package makes those loops
-*pluggable*: callers resolve a :class:`Kernel` by name and the engine
-dispatches through it, with the ``"python"`` reference defining semantics and
-every other implementation locked bit-identical to it by
+Two loops of the simulator resist NumPy vectorisation because each iteration
+depends on detector state carried from the previous one: the dead-time winner
+scan of :meth:`~repro.spad.device.SpadDevice.detect_in_windows` and the
+per-channel window resolution behind
+:func:`~repro.spad.array.detect_in_windows_multichannel`.  This package makes
+those loops *pluggable*: callers resolve a :class:`Kernel` by name and the
+engine dispatches through it, with the ``"python"`` reference defining
+semantics and the native tier locked bit-identical to it by
 ``tests/test_kernels.py`` and ``scripts/regression_check.py``.
 
 Kernels
@@ -18,32 +15,27 @@ Kernels
 ``"python"``
     The loops as they shipped — extracted to :mod:`repro.kernels.reference`.
     Always available; the semantic ground truth.
-``"vector"``
-    NumPy-only acceleration: the vectorised arbitration schedule of
-    :mod:`repro.kernels.arbitration` (scan/resolve stay on the in-module
-    Python fast paths).  Always available.
-``"numba"``
-    ``@njit(cache=True, nogil=True)`` ports of the scan and resolver plus the
-    vectorised arbitration.  Registered only when :mod:`numba` is importable
-    (``pip install repro[fast]``).
 ``"cext"``
-    ctypes-bound C ports compiled on first use with the host toolchain
-    (:mod:`repro.kernels.cext`).  Registered only when a C compiler is
-    available and the build succeeds.
+    ctypes-bound C ports of the scan and resolver, compiled on first use with
+    the host toolchain (:mod:`repro.kernels.cext`).  Registered only when a C
+    compiler is available and the build succeeds.
 ``"auto"``
     Not a kernel but a resolution rule: the fastest available tier,
-    preferring ``numba`` > ``cext`` > ``vector`` > ``python``.
+    preferring ``cext`` > ``python``.
+
+The bus's round-robin arbitration is not a kernel: every tier runs the same
+per-slot :meth:`~repro.noc.arbitration.RoundRobinArbiter.grant` loop.
 
 Selection order: an explicit ``kernel=`` argument (threaded through
 ``make_link``, ``Scenario``, the CLI ``--kernel`` flag and the service) beats
 the ``REPRO_KERNEL`` environment variable, which beats the ``"auto"``
 default.  Naming an unavailable kernel falls back to ``"python"`` with a
-one-time :class:`RuntimeWarning` — runs degrade, they don't die.
+one-time :class:`RuntimeWarning` that carries the reason (for ``"cext"``,
+why the build failed) — runs degrade, they don't die.
 
-The native tiers (``numba``/``cext``) release the GIL while a chunk is inside
-a kernel, which is what makes
-:class:`~repro.scenarios.executors.ThreadExecutor` worthwhile: threads run
-grid points genuinely in parallel with zero pickling/IPC cost.
+The ``cext`` tier releases the GIL while a chunk is inside a kernel, which is
+what makes :class:`~repro.scenarios.executors.ThreadExecutor` worthwhile:
+threads run grid points genuinely in parallel with zero pickling/IPC cost.
 
 This package is a leaf — it imports NumPy and nothing from the rest of
 :mod:`repro`, so any layer (including ``Scenario`` validation) can import it
@@ -58,7 +50,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
-from . import arbitration as _arbitration
 from . import reference as _reference
 
 __all__ = [
@@ -66,16 +57,13 @@ __all__ = [
     "Kernel",
     "available_kernels",
     "get_kernel",
-    "round_robin_schedule",
 ]
 
 #: Every name ``get_kernel`` accepts (``"auto"`` resolves, the rest select).
-KERNEL_NAMES: Tuple[str, ...] = ("auto", "python", "vector", "numba", "cext")
+KERNEL_NAMES: Tuple[str, ...] = ("auto", "python", "cext")
 
 #: ``"auto"`` preference order, fastest first.
-_AUTO_ORDER: Tuple[str, ...] = ("numba", "cext", "vector", "python")
-
-round_robin_schedule = _arbitration.round_robin_schedule
+_AUTO_ORDER: Tuple[str, ...] = ("cext", "python")
 
 
 @dataclass(frozen=True)
@@ -85,61 +73,48 @@ class Kernel:
     ``scan_windows`` is always present (every kernel can run the device
     scan).  ``resolve_windows`` is ``None`` when the kernel has no native
     resolver — the array layer then keeps its in-module Python fast path.
-    ``arbitrate`` is ``None`` when the kernel has no schedule-at-once
-    arbitration — the bus then keeps its per-slot grant loop.
     """
 
     name: str
     scan_windows: Callable = field(repr=False)
     resolve_windows: Optional[Callable] = field(default=None, repr=False)
+    # Always None (the bus arbitrates with its own grant loop); kept because
+    # perfbench/spans.py reads this slot on every kernel.
     arbitrate: Optional[Callable] = field(default=None, repr=False)
 
 
 @lru_cache(maxsize=1)
-def _registry() -> Dict[str, Kernel]:
-    kernels: Dict[str, Kernel] = {
-        "python": Kernel(
-            name="python",
-            scan_windows=_reference.scan_windows,
-        ),
-        "vector": Kernel(
-            name="vector",
-            scan_windows=_reference.scan_windows,
-            arbitrate=round_robin_schedule,
-        ),
-    }
-    from . import numba_kernels as _numba
-
-    if _numba.NUMBA_AVAILABLE:
-        kernels["numba"] = Kernel(
-            name="numba",
-            scan_windows=_numba.scan_windows,
-            resolve_windows=_numba.resolve_windows,
-            arbitrate=round_robin_schedule,
-        )
+def _registry() -> Tuple[Dict[str, Kernel], Dict[str, str]]:
+    """The usable kernels by name, and why each missing tier is missing."""
+    kernels = {"python": Kernel(name="python", scan_windows=_reference.scan_windows)}
+    missing: Dict[str, str] = {}
     from . import cext as _cext
 
-    native = _cext.load()
-    if native is not None:
+    try:
+        native = _cext.load()
+    except _cext.BuildError as error:
+        missing["cext"] = str(error)
+    else:
         kernels["cext"] = Kernel(
             name="cext",
             scan_windows=native.scan_windows,
             resolve_windows=native.resolve_windows,
-            arbitrate=round_robin_schedule,
         )
-    return kernels
+    return kernels, missing
 
 
 def available_kernels() -> Tuple[str, ...]:
     """Names of the kernels usable in this environment, in registry order."""
-    return tuple(_registry())
+    return tuple(_registry()[0])
 
 
 @lru_cache(maxsize=None)
 def _warn_unavailable(requested: str) -> None:
+    kernels, missing = _registry()
     warnings.warn(
         f"kernel {requested!r} is not available in this environment "
-        f"(available: {', '.join(available_kernels())}); "
+        f"({missing[requested]}; "
+        f"available: {', '.join(kernels)}); "
         "falling back to the 'python' reference kernel",
         RuntimeWarning,
         stacklevel=3,
@@ -151,16 +126,16 @@ def get_kernel(name: Optional[str] = None) -> Kernel:
 
     ``name=None`` defers to ``$REPRO_KERNEL``, and absent that to
     ``"auto"`` — which picks the fastest registered tier.  Unknown names
-    raise :class:`ValueError`; known-but-unavailable names (e.g. ``"numba"``
-    without numba installed) fall back to ``"python"`` with a one-time
-    :class:`RuntimeWarning`.
+    raise :class:`ValueError`; a known-but-unavailable name (``"cext"``
+    on a host whose build failed) falls back to ``"python"`` with a
+    one-time :class:`RuntimeWarning` giving the reason.
     """
     requested = name or os.environ.get("REPRO_KERNEL") or "auto"
     if requested not in KERNEL_NAMES:
         raise ValueError(
             f"unknown kernel {requested!r}; expected one of {', '.join(KERNEL_NAMES)}"
         )
-    registry = _registry()
+    registry = _registry()[0]
     if requested == "auto":
         for candidate in _AUTO_ORDER:
             if candidate in registry:

@@ -1,10 +1,11 @@
 """The ``"cext"`` compute kernels — self-compiling C ports bound via ctypes.
 
-A dependency-free native tier: when a C compiler is on the host (``cc`` /
-``gcc`` / ``$CC``) the embedded source below is compiled once into a shared
-library cached by source digest, and loaded through :mod:`ctypes`.  No build
-backend, no wheels, no install step — hosts without a compiler simply don't
-register the kernel and :func:`repro.kernels.get_kernel` resolves elsewhere.
+The native tier: when a C compiler is on the host (``cc`` / ``gcc`` /
+``$CC``) the embedded source below is compiled once into a shared library
+cached by source digest, and loaded through :mod:`ctypes`.  No build backend,
+no wheels, no install step — on hosts where the build fails :func:`load`
+raises :class:`BuildError` with the reason, the kernel is not registered and
+:func:`repro.kernels.get_kernel` falls back to the ``"python"`` reference.
 
 Bit-identity with the Python reference is a *compiler-flag* contract: the
 build pins ``-ffp-contract=off -fno-fast-math`` (no FMA contraction, strict
@@ -13,8 +14,7 @@ on doubles — the exact operations CPython floats perform.  The equivalence is
 locked by ``tests/test_kernels.py``.
 
 ctypes releases the GIL for the duration of every foreign call, so these
-kernels parallelise under :class:`~repro.scenarios.executors.ThreadExecutor`
-exactly like the ``nogil`` numba tier.
+kernels parallelise under :class:`~repro.scenarios.executors.ThreadExecutor`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -174,18 +174,25 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / "repro-kernels"
 
 
-def _compiler() -> Optional[str]:
+class BuildError(RuntimeError):
+    """The native kernels cannot be built or loaded on this host."""
+
+
+def _compiler() -> str:
     configured = os.environ.get("CC")
     if configured:
-        return configured if shutil.which(configured) else None
-    return shutil.which("cc") or shutil.which("gcc")
-
-
-def _build_library() -> Optional[Path]:
-    """Compile (or reuse) the kernel library; ``None`` when impossible."""
-    compiler = _compiler()
+        if shutil.which(configured) is None:
+            raise BuildError(f"compiler {configured!r} from $CC not found")
+        return configured
+    compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
-        return None
+        raise BuildError("no C compiler found (cc, gcc or $CC)")
+    return compiler
+
+
+def _build_library() -> Path:
+    """Compile (or reuse) the kernel library; :class:`BuildError` says why not."""
+    compiler = _compiler()
     digest = hashlib.sha256((" ".join(_CFLAGS) + _SOURCE).encode()).hexdigest()[:16]
     cache = _cache_dir()
     library = cache / f"repro_kernels_{digest}.so"
@@ -196,8 +203,8 @@ def _build_library() -> Optional[Path]:
         # Build in a scratch dir inside the cache so the final os.replace is
         # an atomic same-filesystem rename (concurrent builders race safely).
         scratch = Path(tempfile.mkdtemp(dir=cache))
-    except OSError:
-        return None
+    except OSError as error:
+        raise BuildError(f"cannot create the kernel cache {cache}: {error}") from error
     try:
         source = scratch / "repro_kernels.c"
         source.write_text(_SOURCE)
@@ -208,11 +215,13 @@ def _build_library() -> Optional[Path]:
             timeout=120,
         )
         if result.returncode != 0:
-            return None
+            stderr = result.stderr.decode(errors="replace").strip()
+            detail = f": {stderr[-500:]}" if stderr else ""
+            raise BuildError(f"{compiler} exited with status {result.returncode}{detail}")
         os.replace(built, library)
         return library
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except (OSError, subprocess.SubprocessError) as error:
+        raise BuildError(f"{compiler} failed: {error}") from error
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -319,12 +328,10 @@ class CExtKernels:
         return out_times, out_origins
 
 
-def load() -> Optional[CExtKernels]:
-    """Build/load the native kernels, or ``None`` when the host can't."""
+def load() -> CExtKernels:
+    """Build/load the native kernels; :class:`BuildError` when the host can't."""
     library_path = _build_library()
-    if library_path is None:
-        return None
     try:
         return CExtKernels(ctypes.CDLL(str(library_path)))
-    except OSError:
-        return None
+    except OSError as error:
+        raise BuildError(f"cannot load {library_path}: {error}") from error

@@ -4,9 +4,9 @@ These are the *semantics-defining* implementations of the two sequential hot
 loops the kernel layer accelerates: the dead-time winner scan of
 :meth:`~repro.spad.device.SpadDevice.detect_in_windows` and the per-channel
 window resolution of :func:`~repro.spad.array.detect_in_windows_multichannel`.
-Every other kernel (``"numba"``, ``"cext"``) must match them **bit for bit**
-on the same pre-drawn inputs (locked by ``tests/test_kernels.py``); any
-behaviour change lands here first and propagates outward.
+The native ``"cext"`` kernel must match them **bit for bit** on the same
+pre-drawn inputs (locked by ``tests/test_kernels.py``); any behaviour change
+lands here first and propagates outward.
 
 Sentinel convention at the kernel boundary
 ------------------------------------------

@@ -18,8 +18,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class TdmaSchedule:
@@ -41,13 +39,6 @@ class TdmaSchedule:
         if slot < 0:
             raise ValueError("slot must be non-negative")
         return self.owners[slot % self.frame_length]
-
-    def owners_of_slots(self, slots: Sequence[int]) -> np.ndarray:
-        """Vectorised :meth:`owner_of_slot` over an array of slots."""
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.size and int(slots.min()) < 0:
-            raise ValueError("slot must be non-negative")
-        return np.asarray(self.owners, dtype=np.int64)[slots % self.frame_length]
 
     def slots_for(self, owner: int) -> List[int]:
         """Slot offsets within a frame owned by ``owner``."""
@@ -161,53 +152,6 @@ class RoundRobinArbiter:
                 self._grants += 1
                 return node, item
         return None
-
-    def snapshot(self) -> Tuple[np.ndarray, List[object], np.ndarray]:
-        """Flatten the pending queues for the vectorised arbitration kernel.
-
-        Returns ``(arrivals, items, node_bounds)``: every queued item's
-        arrival slot and payload grouped by node in queue order, with CSR
-        bounds mapping node ``n`` to ``arrivals[node_bounds[n]:node_bounds[n+1]]``
-        — the layout :func:`repro.kernels.round_robin_schedule` consumes.
-        The queues are not modified; pair with :meth:`commit_grants`.
-        """
-        arrivals: List[int] = []
-        items: List[object] = []
-        bounds = np.zeros(self.node_count + 1, dtype=np.int64)
-        for node in range(self.node_count):
-            for arrival, item in self._pending[node]:
-                arrivals.append(arrival)
-                items.append(item)
-            bounds[node + 1] = len(arrivals)
-        return np.asarray(arrivals, dtype=np.int64), items, bounds
-
-    def commit_grants(self, granted_per_node: Sequence[int], next_pointer: int) -> None:
-        """Apply the outcome of a scheduled epoch computed from a snapshot.
-
-        Pops ``granted_per_node[n]`` items from the head of node ``n``'s
-        queue (the kernel grants strictly in queue order) and moves the
-        rotation pointer to ``next_pointer``, keeping :attr:`grants_issued`
-        and :meth:`next_arrival` consistent with the scalar grant loop.
-        """
-        total = 0
-        for node, count in enumerate(granted_per_node):
-            count = int(count)
-            queue = self._pending[node]
-            if count > len(queue):
-                raise ValueError(
-                    f"cannot commit {count} grants for node {node}: "
-                    f"only {len(queue)} pending"
-                )
-            for _ in range(count):
-                queue.popleft()
-            total += count
-        self._next = int(next_pointer) % self.node_count
-        self._grants += total
-
-    @property
-    def next_node(self) -> int:
-        """The rotation pointer: first node considered by the next grant."""
-        return self._next
 
     @property
     def grants_issued(self) -> int:

@@ -156,11 +156,9 @@ class OpticalBus:
         larger epochs amortise more link work per transmission.
     kernel:
         Compute-kernel name (see :func:`repro.kernels.get_kernel`; ``None``
-        defers to ``$REPRO_KERNEL`` / ``"auto"``).  Kernels carrying an
-        ``arbitrate`` implementation replace the per-slot grant loop of
-        :meth:`run` with one vectorised schedule per call — same grants,
-        same slots, same statistics (locked by ``tests/test_kernels.py``).
-        The kernel also flows into the links of kernel-capable backends.
+        defers to ``$REPRO_KERNEL`` / ``"auto"``), validated here on every
+        backend.  It flows into the links of kernel-capable backends;
+        arbitration is the same per-slot grant loop whatever the kernel.
     """
 
     def __init__(
@@ -183,11 +181,11 @@ class OpticalBus:
         self._seed = seed
         self.backend = resolve_backend(backend)
         self.epoch_packets = epoch_packets
+        get_kernel(kernel)  # unknown names raise here, whatever the backend
         self.kernel = kernel
         capabilities = backend_capabilities(self.backend)
         self._batched = capabilities.supports_batch
-        # The link-level kernel only reaches backends that accept it; the
-        # bus-level arbitration kernel applies regardless of backend.
+        # The kernel only reaches backends that accept it.
         self._link_kernel = kernel if capabilities.supports_kernel else None
         self.arbiter = RoundRobinArbiter(topology.node_count)
         self.statistics = BusStatistics()
@@ -296,9 +294,6 @@ class OpticalBus:
         """
         if max_slots <= 0:
             raise ValueError("max_slots must be positive")
-        arbitrate = get_kernel(self.kernel).arbitrate
-        if arbitrate is not None:
-            return self._run_scheduled(max_slots, arbitrate)
         slot = self._slot
         horizon = slot + max_slots
         epoch: List[_Grant] = []
@@ -348,73 +343,6 @@ class OpticalBus:
         self._flush_epoch(epoch)
         self.statistics.total_slots += max(slot - self._slot, 1)
         self._slot = slot
-        return self.statistics
-
-    def _run_scheduled(self, max_slots: int, arbitrate) -> BusStatistics:
-        """Vectorised twin of :meth:`run`'s arbitration phase.
-
-        The arbiter's queues are snapshotted once, every grant of the call is
-        computed by the kernel's schedule (see
-        :func:`repro.kernels.round_robin_schedule`), and the grants are
-        replayed through the *same* record/epoch/flush code the scalar loop
-        uses — so outcomes, flush grouping, RNG consumption and statistics
-        are identical by construction.
-        """
-        slot = self._slot
-        horizon = slot + max_slots
-        arrivals, items, bounds = self.arbiter.snapshot()
-        node_count = self.topology.node_count
-        costs = np.ones(arrivals.size, dtype=np.int64)
-        deliverable = np.zeros(arrivals.size, dtype=bool)
-        for index, (packet, _arrival) in enumerate(items):
-            # Undeliverable unicast addresses burn exactly one slot.
-            if packet.is_broadcast or packet.destination < node_count:
-                deliverable[index] = True
-                costs[index] = self.symbol_slots_per_packet(packet)
-        granted, starts, final_slot, final_rotation = arbitrate(
-            arrivals, costs, bounds, self.arbiter.next_node, slot, horizon
-        )
-        item_nodes = np.searchsorted(bounds, granted, side="right") - 1
-        epoch: List[_Grant] = []
-        for index, start, source in zip(
-            granted.tolist(), starts.tolist(), item_nodes.tolist()
-        ):
-            packet, arrival_slot = items[index]
-            if not deliverable[index]:
-                self._record(
-                    _Grant(
-                        packet=packet,
-                        source=source,
-                        arrival_slot=arrival_slot,
-                        start_slot=start,
-                        end_slot=start + 1,
-                    ),
-                    packet.destination,
-                    bit_errors=0,
-                    bits_delivered=0,
-                    delivered=False,
-                )
-                continue
-            slots_used = int(costs[index])
-            epoch.append(
-                _Grant(
-                    packet=packet,
-                    source=source,
-                    arrival_slot=arrival_slot,
-                    start_slot=start,
-                    end_slot=start + slots_used,
-                )
-            )
-            self.statistics.busy_slots += slots_used
-            if len(epoch) >= self.epoch_packets:
-                self._flush_epoch(epoch)
-                epoch = []
-        self._flush_epoch(epoch)
-        self.arbiter.commit_grants(
-            np.bincount(item_nodes, minlength=node_count), final_rotation
-        )
-        self.statistics.total_slots += max(final_slot - self._slot, 1)
-        self._slot = final_slot
         return self.statistics
 
     # -- epoch flushing ----------------------------------------------------------

@@ -139,8 +139,8 @@ class MicroLed:
     def pulse_shape(self, drive_current: float, pulse_width: float, points: int = 64) -> np.ndarray:
         """Normalised optical pulse shape sampled at ``points`` instants.
 
-        Trapezoidal pulse with the configured rise/fall time; used by the
-        event-driven simulation to draw photon emission times within a pulse.
+        Trapezoidal pulse with the configured rise/fall time, e.g. to draw
+        photon emission times within a pulse.
         """
         if points < 2:
             raise ValueError("points must be at least 2")

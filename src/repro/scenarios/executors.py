@@ -624,11 +624,11 @@ class ThreadExecutor:
 
     Threads share the interpreter, so this only pays off when point
     evaluation spends its time *outside* the GIL — which the native compute
-    kernels do (:mod:`repro.kernels`: numba ``nogil=True`` functions and
-    ``ctypes`` C-extension calls both release the GIL for the duration of a
-    window scan).  Under the pure-``"python"`` kernel the threads serialise
-    on the GIL and a thread pool is no faster than :class:`SerialExecutor`;
-    use :class:`ProcessExecutor` there instead.
+    kernel does (:mod:`repro.kernels`: the ``"cext"`` tier's ``ctypes``
+    calls release the GIL for the duration of a window scan).  Under the
+    pure-``"python"`` kernel the threads serialise on the GIL and a thread
+    pool is no faster than :class:`SerialExecutor`; use
+    :class:`ProcessExecutor` there instead.
 
     What threads buy over processes: zero pickling, zero IPC, zero worker
     start-up, and no picklability contract at all — subclassed scenarios and

@@ -1,17 +1,15 @@
-"""Discrete-event simulation kernel and Monte-Carlo utilities.
+"""Monte-Carlo drivers and the central seed-derivation policy.
 
 The stochastic parts of the link model (photon arrivals, SPAD avalanches,
-afterpulsing, TDC sampling) are driven either analytically or through the
-small event-driven engine defined here.  The engine is deliberately minimal:
-time-ordered event queue, processes that schedule further events, and a trace
-recorder for post-processing.
+afterpulsing, TDC sampling) are drawn in vectorised batches by the link
+backends; this package runs those batches as trials —
+:class:`MonteCarloRunner` chunks a budget into
+:func:`link_batch_trial`/:class:`NocTrafficTrial` calls — and owns the seed
+policy (:func:`split_seed`, :class:`RandomSource`) every layer derives its
+streams from.
 """
 
-from repro.simulation.engine import Simulator
-from repro.simulation.events import Event, EventQueue
-from repro.simulation.process import Process, ProcessState
 from repro.simulation.randomness import RandomSource, split_seed
-from repro.simulation.recorder import TraceRecorder, TraceSample
 from repro.simulation.montecarlo import (
     TRAFFIC_PATTERNS,
     MonteCarloResult,
@@ -22,15 +20,8 @@ from repro.simulation.montecarlo import (
 )
 
 __all__ = [
-    "Simulator",
-    "Event",
-    "EventQueue",
-    "Process",
-    "ProcessState",
     "RandomSource",
     "split_seed",
-    "TraceRecorder",
-    "TraceSample",
     "MonteCarloRunner",
     "MonteCarloResult",
     "NocTrafficTrial",

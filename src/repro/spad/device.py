@@ -8,8 +8,8 @@ detector with two interfaces:
   simulator: given the arrival time of the (attenuated) optical pulse within
   one measurement window, return which detection — signal photon, dark count
   or afterpulse — the SPAD actually reports first, if any; and
-* a *continuous* interface (:meth:`first_detection`) used by the event-driven
-  simulation.
+* a *continuous* interface (:meth:`first_detection`): the first detection
+  in an interval, given a train of photon-pulse times.
 
 The device keeps the time of its last avalanche so that dead time and
 afterpulsing carry over from one window to the next, exactly the coupling that

@@ -131,6 +131,13 @@ class TestRun:
         assert run_cli("run", "no-such-scenario") == 1
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kernel", ["numba", "vector"])
+    def test_unknown_kernel_is_a_usage_error(self, capsys, kernel):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("run", "ber-vs-photons", "--kernel", kernel, "--no-store")
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestShowAndCompare:
     @pytest.fixture()

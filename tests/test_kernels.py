@@ -2,28 +2,28 @@
 
 The load-bearing contract of :mod:`repro.kernels`: every registered kernel
 is **bit-identical** to the ``"python"`` reference — same detection times,
-same origins, same carried detector state, same arbitration grants — so
-kernel selection (explicit, ``REPRO_KERNEL``, or ``"auto"``) can never change
-a report.  The suite locks that at three levels:
+same origins, same carried detector state — so kernel selection (explicit,
+``REPRO_KERNEL``, or ``"auto"``) can never change a report.  The suite locks
+that at two levels:
 
-* raw kernel functions on randomised inputs (scan, resolve, arbitration);
-* the arbitration schedule against the scalar :class:`RoundRobinArbiter`
-  grant loop, including committed queue/rotation state;
+* raw kernel functions on randomised inputs (scan, resolve);
 * whole experiment reports across named scenarios, seed policies and the
   importance trial mode.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.kernels import (
     KERNEL_NAMES,
+    _registry,
+    _warn_unavailable,
     available_kernels,
     get_kernel,
-    round_robin_schedule,
 )
 from repro.kernels import reference
-from repro.noc.arbitration import RoundRobinArbiter
 from repro.scenarios import (
     ExperimentRunner,
     Scenario,
@@ -88,55 +88,59 @@ def _resolve_inputs(rng, windows=96, channels=5, secondaries=2):
 class TestRegistry:
     def test_reference_tiers_are_always_available(self):
         names = available_kernels()
-        assert "python" in names and "vector" in names
+        assert "python" in names
         assert set(names) <= set(KERNEL_NAMES)
         assert "auto" not in names  # a resolution rule, not a kernel
 
     def test_named_lookup_and_auto_resolution(self):
         assert get_kernel("python").name == "python"
-        assert get_kernel("vector").name == "vector"
         # auto resolves to a registered kernel, preferring native tiers.
         assert get_kernel("auto").name in available_kernels()
         assert get_kernel(None).name == get_kernel("auto").name
 
     def test_unknown_name_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            get_kernel("cuda")
+        for name in ("cuda", "numba", "vector"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                get_kernel(name)
 
     def test_environment_drives_default_but_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "python")
         assert get_kernel().name == "python"
-        assert get_kernel("vector").name == "vector"
+        monkeypatch.setenv("REPRO_KERNEL", "cext")
+        assert get_kernel("python").name == "python"
         monkeypatch.setenv("REPRO_KERNEL", "not-a-kernel")
         with pytest.raises(ValueError, match="unknown kernel"):
             get_kernel()
 
-    def test_unavailable_kernel_warns_once_and_falls_back(self):
-        from repro.kernels import _warn_unavailable
-
-        missing = [
-            name
-            for name in KERNEL_NAMES
-            if name != "auto" and name not in available_kernels()
-        ]
-        if not missing:
-            pytest.skip("every kernel tier is available in this environment")
+    def test_unavailable_kernel_warns_once_and_falls_back(self, monkeypatch, tmp_path):
+        # Force the native tier out: a compiler that always fails, and an
+        # empty cache so no previously built library can be reused.
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path / "cext-cache"))
+        _registry.cache_clear()
         _warn_unavailable.cache_clear()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert get_kernel(missing[0]).name == "python"
-        # The degradation is reported once, not per chunk.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert get_kernel(missing[0]).name == "python"
+        try:
+            assert available_kernels() == ("python",)
+            assert get_kernel("auto").name == "python"
+            with pytest.warns(RuntimeWarning, match="falling back") as record:
+                assert get_kernel("cext").name == "python"
+            # The warning carries why the build failed.
+            assert "exited with status 1" in str(record[0].message)
+            # The degradation is reported once, not per chunk.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert get_kernel("cext").name == "python"
+        finally:
+            monkeypatch.undo()
+            _registry.cache_clear()
+            _warn_unavailable.cache_clear()
 
     def test_python_kernel_has_no_native_resolver_or_arbiter(self):
         # By design: under "python" the array layer keeps its in-module fast
-        # path and the bus keeps its scalar grant loop.
-        kernel = get_kernel("python")
-        assert kernel.resolve_windows is None
-        assert kernel.arbitrate is None
+        # path; no kernel carries an arbiter, the bus has one grant loop.
+        assert get_kernel("python").resolve_windows is None
+        for name in available_kernels():
+            assert get_kernel(name).arbitrate is None, name
 
 
 class TestScanBitIdentity:
@@ -238,84 +242,6 @@ class TestResolveBitIdentity:
             assert np.array_equal(origins, ref_origins), kernel.name
 
 
-def _loaded_arbiter(rng, nodes, requests, horizon):
-    """An arbiter with randomised per-node arrival-ordered request queues."""
-    arbiter = RoundRobinArbiter(nodes)
-    for item in range(requests):
-        node = int(rng.integers(0, nodes))
-        queue = arbiter._pending[node]
-        floor = queue[-1][0] if queue else 0
-        arrival = int(min(floor + rng.integers(0, 4), horizon + 4))
-        arbiter.request(node, item, arrival=arrival)
-    return arbiter
-
-
-def _scalar_schedule(arbiter, costs, horizon, start_slot):
-    """The per-slot grant loop the vectorised schedule must reproduce."""
-    items, starts = [], []
-    slot = start_slot
-    while slot < horizon:
-        granted = arbiter.grant(slot)
-        if granted is None:
-            next_arrival = arbiter.next_arrival()
-            if next_arrival is None or next_arrival >= horizon:
-                break
-            slot = max(slot + 1, next_arrival)
-            continue
-        _node, item = granted
-        items.append(item)
-        starts.append(slot)
-        slot += int(costs[item])
-    return items, starts
-
-
-class TestArbitrationSchedule:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_schedule_matches_the_scalar_grant_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        nodes = int(rng.integers(1, 9))
-        horizon = 600
-        scalar = _loaded_arbiter(rng, nodes, requests=200, horizon=horizon)
-        vector = RoundRobinArbiter(nodes)
-        for node in range(nodes):
-            for arrival, item in scalar._pending[node]:
-                vector.request(node, item, arrival=arrival)
-        costs = rng.integers(1, 5, 200)
-
-        arrivals, items, bounds = vector.snapshot()
-        slot_costs = np.asarray([costs[item] for item in items], dtype=np.int64)
-        granted, starts, _final_slot, final_rotation = round_robin_schedule(
-            arrivals, slot_costs, bounds,
-            start_node=vector.next_node, start_slot=0, horizon=horizon,
-        )
-        scheduled_items = [items[index] for index in granted]
-
-        scalar_items, scalar_starts = _scalar_schedule(scalar, costs, horizon, 0)
-        assert scheduled_items == scalar_items
-        assert list(starts) == scalar_starts
-
-        # Committing the schedule leaves the arbiter in the scalar end state.
-        granted_nodes = np.searchsorted(bounds, granted, side="right") - 1
-        vector.commit_grants(
-            np.bincount(granted_nodes, minlength=nodes), final_rotation
-        )
-        assert vector.next_node == scalar.next_node
-        assert vector.grants_issued == scalar.grants_issued
-        assert vector.pending_count() == scalar.pending_count()
-        for node in range(nodes):
-            assert list(vector._pending[node]) == list(scalar._pending[node])
-
-    def test_empty_queue_schedules_nothing(self):
-        arbiter = RoundRobinArbiter(4)
-        arrivals, items, bounds = arbiter.snapshot()
-        granted, starts, final_slot, final_rotation = round_robin_schedule(
-            arrivals, np.zeros(0, dtype=np.int64), bounds,
-            start_node=2, start_slot=5, horizon=50,
-        )
-        assert granted.size == 0 and starts.size == 0
-        assert final_rotation == 2
-
-
 def _equivalence_scenario(seed_policy="per-point", trial_mode="naive"):
     scenario = Scenario(
         name=f"kernel-equivalence-{seed_policy}-{trial_mode}",
@@ -389,8 +315,9 @@ class TestScenarioEquivalence:
 
 class TestScenarioKernelField:
     def test_kernel_validated_against_known_names(self):
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            _equivalence_scenario().with_kernel("cuda")
+        for name in ("cuda", "numba", "vector"):
+            with pytest.raises(ValueError, match="kernel must be one of"):
+                _equivalence_scenario().with_kernel(name)
 
     def test_kernel_requires_a_capable_backend(self):
         with pytest.raises(ValueError, match="support"):
@@ -398,13 +325,13 @@ class TestScenarioKernelField:
                 name="scalar-kernel",
                 backend="scalar",
                 bits_per_point=64,
-                kernel="vector",
+                kernel="cext",
             )
 
     def test_kernel_round_trips_through_the_mapping(self):
-        scenario = _equivalence_scenario().with_kernel("vector")
+        scenario = _equivalence_scenario().with_kernel("cext")
         mapping = scenario.to_mapping()
-        assert mapping["kernel"] == "vector"
+        assert mapping["kernel"] == "cext"
         assert Scenario.from_mapping(mapping) == scenario
         # Unset kernel stays out of the mapping: committed digests are stable.
         assert "kernel" not in _equivalence_scenario().to_mapping()

@@ -72,6 +72,13 @@ class TestOpticalBus:
         with pytest.raises(ValueError):
             bus.run(max_slots=0)
 
+    @pytest.mark.parametrize("backend", [None, "scalar"])
+    def test_unknown_kernel_is_rejected_at_construction(self, small_topology, link_config, backend):
+        # Validated up front on every backend, including "scalar", whose
+        # links take no kernel at all.
+        with pytest.raises(ValueError, match="unknown kernel"):
+            OpticalBus(small_topology, config=link_config, backend=backend, kernel="cuda")
+
 
 class TestBroadcast:
     def test_bright_broadcast_reaches_every_die(self, small_topology, link_config):

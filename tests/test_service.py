@@ -276,6 +276,13 @@ class TestErrors:
             client._request("GET", "/compare?a=x")
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("kernel", ["numba", "vector"])
+    def test_unknown_kernel_is_a_typed_400(self, client, kernel):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/runs", body={"scenario": SCENARIO, "kernel": kernel})
+        assert excinfo.value.status == 400
+        assert "kernel must be one of auto, python, cext" in str(excinfo.value)
+
     def test_bind_failure_is_typed_and_maps_to_exit_4(self, tmp_path, capsys):
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))
