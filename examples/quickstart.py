@@ -11,6 +11,8 @@ declarative scenarios through the ``repro.scenarios`` experiment layer, which
 is how the paper's figures are reproduced at scale.
 """
 
+import numpy as np
+
 from repro.core import LinkConfig, make_link
 from repro.core.error_model import symbol_error_budget
 from repro.scenarios import ExperimentRunner, get_scenario
@@ -23,14 +25,9 @@ def text_to_bits(text: str) -> list:
     return bits
 
 
-def bits_to_text(bits: list) -> str:
-    data = bytearray()
-    for start in range(0, len(bits) - 7, 8):
-        byte = 0
-        for bit in bits[start : start + 8]:
-            byte = (byte << 1) | bit
-        data.append(byte)
-    return data.decode("utf-8", errors="replace")
+def bits_to_text(bits: np.ndarray) -> str:
+    whole_bytes = len(bits) // 8 * 8
+    return np.packbits(bits[:whole_bytes]).tobytes().decode("utf-8", errors="replace")
 
 
 def main() -> None:

@@ -34,9 +34,12 @@ The pipeline is NumPy end to end:
 4. ``PpmCodec.decode_times`` maps the measured times back to slot values and
    the bit matrix is unpacked in one shot.
 
-The result is the same :class:`~repro.core.link.TransmissionResult` the scalar
-path returns, at a ≥10× (typically 30–100×) symbols/sec advantage on
-10^5-symbol workloads (see ``benchmarks/bench_fastpath_speedup.py``).
+Bits stay one compact ``uint8`` array from the validated payload
+(:func:`~repro.modulation.symbols.as_bit_array`) to the error count; no step
+converts them to or from Python lists.  The result is the same
+:class:`~repro.core.link.TransmissionResult` the scalar path returns, at a
+≥10× (typically 30–100×) symbols/sec advantage on 10^5-symbol workloads
+(see ``benchmarks/bench_fastpath_speedup.py``).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 
 from repro.core.config import LinkConfig
 from repro.core.link import OpticalLink, TransmissionResult
-from repro.modulation.symbols import ints_to_bit_matrix
+from repro.modulation.symbols import as_bit_array, ints_to_bit_matrix
 from repro.photonics.channel import OpticalChannel
 from repro.spad.device import ORIGIN_BY_CODE, ImportanceSettings
 
@@ -87,21 +90,11 @@ class FastOpticalLink(OpticalLink):
         padded with zeros to a whole number of symbols and error statistics
         cover the original bit positions.
         """
-        raw = np.asarray(bits)
-        if raw.size == 0:
+        payload = as_bit_array(bits)
+        if payload.size == 0:
             raise ValueError("bits must be non-empty")
-        # Validate before casting: an int64 cast would silently truncate
-        # fractional "bits" that the scalar path rejects.
-        if not np.isin(raw, (0, 1)).all():
-            raise ValueError("bits must be 0 or 1")
-        payload_arr = raw.astype(np.int64, copy=False)
-        payload = payload_arr.tolist()
         k = self.config.ppm_bits
-        remainder = len(payload) % k
-        if remainder:
-            padded = np.concatenate([payload_arr, np.zeros(k - remainder, dtype=np.int64)])
-        else:
-            padded = payload_arr
+        padded = np.pad(payload, (0, -payload.size % k))
 
         values = self.codec.encode_bits_to_values(padded)
         symbol_count = int(values.size)
@@ -136,8 +129,7 @@ class FastOpticalLink(OpticalLink):
             )
             decoded[detected] = self.codec.decode_times(measured)
 
-        received_matrix = ints_to_bit_matrix(decoded, k)
-        received_bits = received_matrix.ravel().tolist()
+        received_bits = ints_to_bit_matrix(decoded, k).ravel()
 
         counts = {origin.value: 0 for origin in ORIGIN_BY_CODE.values()}
         counts["missed"] = int(np.count_nonzero(~detected))
@@ -147,7 +139,7 @@ class FastOpticalLink(OpticalLink):
 
         return TransmissionResult(
             transmitted_bits=payload,
-            received_bits=received_bits[: len(payload)],
+            received_bits=received_bits[: payload.size],
             symbols_sent=symbol_count,
             symbol_errors=int(np.count_nonzero(decoded != values)),
             detection_counts=counts,

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.config import LinkConfig
 from repro.modulation.ppm import PpmCodec
-from repro.modulation.symbols import count_bit_errors, int_to_bits
+from repro.modulation.symbols import as_bit_array, count_bit_errors, int_to_bits
 from repro.photonics.channel import OpticalChannel
 from repro.simulation.randomness import RandomSource
 from repro.spad.device import DetectionOrigin, SpadDevice
@@ -38,10 +38,16 @@ class TransmissionResult:
     This is the shared result contract of every registered link backend
     (see :mod:`repro.core.backend`): whichever engine simulated the payload,
     consumers receive the same fields and derived figures of merit.
+
+    ``transmitted_bits`` and ``received_bits`` are 1-D ``uint8`` arrays of
+    the payload's length; construction normalises any bit sequence to that
+    form, without a copy for ``uint8`` input.  They can be views (of a
+    ``uint8`` payload passed in, or of a backend's bit matrix), so treat them
+    as read-only.
     """
 
-    transmitted_bits: List[int]
-    received_bits: List[int]
+    transmitted_bits: np.ndarray
+    received_bits: np.ndarray
     symbols_sent: int
     symbol_errors: int
     detection_counts: Dict[str, int]
@@ -56,16 +62,18 @@ class TransmissionResult:
     #: missed window.  Lets consumers stratify weighted error mass by origin.
     symbol_origins: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        self.transmitted_bits = np.asarray(self.transmitted_bits, dtype=np.uint8)
+        self.received_bits = np.asarray(self.received_bits, dtype=np.uint8)
+
     @property
     def bit_errors(self) -> int:
         """Number of payload bit positions that differ."""
-        if not self.transmitted_bits:
-            return 0
         return count_bit_errors(self.transmitted_bits, self.received_bits)
 
     @property
     def bit_error_rate(self) -> float:
-        if not self.transmitted_bits:
+        if len(self.transmitted_bits) == 0:
             raise ValueError("no bits were transmitted")
         return self.bit_errors / len(self.transmitted_bits)
 
@@ -165,16 +173,11 @@ class OpticalLink:
         The payload is padded with zeros to a whole number of symbols; error
         statistics are computed over the original (unpadded) bit positions.
         """
-        payload = list(bits)
-        if not payload:
+        payload = as_bit_array(bits)
+        if payload.size == 0:
             raise ValueError("bits must be non-empty")
-        if any(bit not in (0, 1) for bit in payload):
-            raise ValueError("bits must be 0 or 1")
         k = self.config.ppm_bits
-        padded = list(payload)
-        remainder = len(padded) % k
-        if remainder:
-            padded += [0] * (k - remainder)
+        padded = np.pad(payload, (0, -payload.size % k))
 
         symbols = self.codec.encode_bits(padded)
         symbol_duration = self.config.symbol_duration
@@ -234,8 +237,7 @@ class OpticalLink:
         if bit_count <= 0:
             raise ValueError("bit_count must be positive")
         source = RandomSource(payload_seed)
-        payload = source.generator.integers(0, 2, size=bit_count).tolist()
-        return self.transmit_bits(payload)
+        return self.transmit_bits(source.generator.integers(0, 2, size=bit_count))
 
     # -- figures of merit ----------------------------------------------------------------
     def raw_bit_rate(self) -> float:

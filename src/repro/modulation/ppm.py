@@ -86,7 +86,7 @@ class PpmCodec:
             raise ValueError(
                 f"bit count {len(bits)} is not a multiple of K={self.bits_per_symbol}"
             )
-        matrix = np.asarray(bits, dtype=np.int64).reshape(-1, self.bits_per_symbol)
+        matrix = np.asarray(bits).reshape(-1, self.bits_per_symbol)
         return bit_matrix_to_ints(matrix)
 
     def pulse_times_for_values(self, values: np.ndarray) -> np.ndarray:

@@ -42,8 +42,31 @@ def bits_to_int(bits: Sequence[int]) -> int:
     for bit in bits:
         if bit not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got {bit}")
-        value = (value << 1) | bit
+        value = (value << 1) | int(bit)
     return value
+
+
+def as_bit_array(bits, name: str = "bits") -> np.ndarray:
+    """Validate a bit stream and return it as a ``uint8`` array.
+
+    The one bit validator of the link data path.  Integer and bool inputs
+    take a bounds check; any other dtype must equal 0 or 1 exactly, so a
+    fractional "bit" such as ``0.5`` is rejected before the cast could
+    truncate it.  ``uint8`` input is returned as is, without a copy.
+
+    >>> as_bit_array([True, 0, 1]).tolist()
+    [1, 0, 1]
+    """
+    raw = np.asarray(bits)
+    if raw.size == 0:
+        valid = True
+    elif raw.dtype.kind in "biu":
+        valid = raw.min() >= 0 and raw.max() <= 1
+    else:
+        valid = bool(((raw == 0) | (raw == 1)).all())
+    if not valid:
+        raise ValueError(f"{name} must be 0 or 1")
+    return raw.astype(np.uint8, copy=False)
 
 
 def ints_to_bit_matrix(values: np.ndarray, width: int) -> np.ndarray:
@@ -58,7 +81,7 @@ def ints_to_bit_matrix(values: np.ndarray, width: int) -> np.ndarray:
     if values.size and (values.min() < 0 or values.max() >= (1 << width)):
         raise ValueError(f"values must lie within [0, 2^{width})")
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((values[:, None] >> shifts) & 1).astype(np.int64)
+    return ((values[:, None] >> shifts) & 1).astype(np.uint8)
 
 
 def bit_matrix_to_ints(bits: np.ndarray) -> np.ndarray:
@@ -67,11 +90,9 @@ def bit_matrix_to_ints(bits: np.ndarray) -> np.ndarray:
     >>> bit_matrix_to_ints(np.array([[0, 1, 0, 1], [0, 0, 0, 1]])).tolist()
     [5, 1]
     """
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = as_bit_array(bits)
     if bits.ndim != 2 or bits.shape[1] == 0:
         raise ValueError("bits must be a 2-D matrix with at least one column")
-    if bits.size and not np.isin(bits, (0, 1)).all():
-        raise ValueError("bits must be 0 or 1")
     width = bits.shape[1]
     weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
     return bits @ weights

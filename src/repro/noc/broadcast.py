@@ -119,8 +119,7 @@ def broadcast(
     if backend_capabilities(resolved).supports_multichannel:
         channels = len(receivers)
         k = config.ppm_bits
-        padded = np.asarray(packet.padded_bits(k), dtype=np.int64)
-        tiled = tile_symbols_for_receivers(padded, k, channels)
+        tiled = tile_symbols_for_receivers(packet.padded_bits(k), k, channels)
         link = make_link(
             config.with_detected_photons(emitted_photons),
             backend=resolved,
@@ -129,9 +128,9 @@ def broadcast(
             seed=split_seed(seed, f"noc:broadcast:{source_node}"),
         )
         outcome = link.transmit_bits(tiled)
-        mismatches = (
-            np.asarray(outcome.transmitted_bits) != np.asarray(outcome.received_bits)
-        ).reshape(-1, channels, k)
+        mismatches = (outcome.transmitted_bits != outcome.received_bits).reshape(
+            -1, channels, k
+        )
         errors_per_receiver = per_receiver_bit_errors(mismatches, channels, len(bits))
         for node, errors in zip(receivers, errors_per_receiver):
             result.receivers[node] = int(errors) == 0

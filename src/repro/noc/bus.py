@@ -361,19 +361,17 @@ class OpticalBus:
     def _flush_unicast(self, source: int, destination: int, entries: List[_Grant]) -> None:
         link = self._link_for(source, destination)
         k = self.config.ppm_bits
-        if self._batched and len(entries) > 1:
+        if self._batched:
             spans: List[Tuple[int, int]] = []
             segments: List[np.ndarray] = []
             cursor = 0
             for entry in entries:
-                padded = np.asarray(entry.packet.padded_bits(k), dtype=np.int64)
+                padded = entry.packet.padded_bits(k)
                 spans.append((cursor, entry.packet.total_bits))
                 segments.append(padded)
                 cursor += padded.size
             result = link.transmit_bits(np.concatenate(segments))
-            mismatches = np.asarray(result.transmitted_bits) != np.asarray(
-                result.received_bits
-            )
+            mismatches = result.transmitted_bits != result.received_bits
             for entry, (start, bits) in zip(entries, spans):
                 errors = int(mismatches[start : start + bits].sum())
                 self._record_unicast(entry, destination, errors, bits)
@@ -404,17 +402,16 @@ class OpticalBus:
             spans: List[Tuple[int, int, int]] = []
             row = 0
             for entry in entries:
-                padded = np.asarray(entry.packet.padded_bits(k), dtype=np.int64)
+                padded = entry.packet.padded_bits(k)
                 blocks.append(tile_symbols_for_receivers(padded, k, channels))
                 rows = padded.size // k
                 spans.append((row, rows, entry.packet.total_bits))
                 row += rows
             link = self._broadcast_link_for(source)
             result = link.transmit_bits(np.concatenate(blocks))
-            mismatches = (
-                np.asarray(result.transmitted_bits)
-                != np.asarray(result.received_bits)
-            ).reshape(row, channels, k)
+            mismatches = (result.transmitted_bits != result.received_bits).reshape(
+                row, channels, k
+            )
             for entry, (start, rows, bits) in zip(entries, spans):
                 errors = per_receiver_bit_errors(
                     mismatches[start : start + rows], channels, bits

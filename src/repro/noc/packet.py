@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.modulation.symbols import bits_to_int, int_to_bits
+import numpy as np
+
+from repro.modulation.symbols import as_bit_array, bits_to_int, int_to_bits
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,15 @@ class Packet:
             raise ValueError("sequence number out of range")
         if len(self.payload) == 0:
             raise ValueError("payload must be non-empty")
-        if any(bit not in (0, 1) for bit in self.payload):
-            raise ValueError("payload bits must be 0 or 1")
+        # Validated and serialized once; not a field, so equality and
+        # hashing still see only the four declared fields.
+        header = int_to_bits(self.destination, self.ADDRESS_BITS)
+        header += int_to_bits(self.source, self.ADDRESS_BITS)
+        header += int_to_bits(self.sequence, self.SEQUENCE_BITS)
+        bits = np.concatenate(
+            [np.array(header, dtype=np.uint8), as_bit_array(self.payload, "payload bits")]
+        )
+        object.__setattr__(self, "_bits", bits)
 
     @property
     def is_broadcast(self) -> bool:
@@ -57,11 +66,7 @@ class Packet:
 
     def serialize(self) -> List[int]:
         """Header followed by payload as a flat bit list."""
-        bits = int_to_bits(self.destination, self.ADDRESS_BITS)
-        bits += int_to_bits(self.source, self.ADDRESS_BITS)
-        bits += int_to_bits(self.sequence, self.SEQUENCE_BITS)
-        bits += list(self.payload)
-        return bits
+        return self._bits.tolist()
 
     def symbol_count(self, ppm_bits: int) -> int:
         """Number of ``ppm_bits``-wide PPM symbols the serialized packet occupies."""
@@ -69,8 +74,8 @@ class Packet:
             raise ValueError("ppm_bits must be positive")
         return -(-self.total_bits // ppm_bits)
 
-    def padded_bits(self, ppm_bits: int) -> List[int]:
-        """Serialized bits zero-padded to a whole number of PPM symbols.
+    def padded_bits(self, ppm_bits: int) -> np.ndarray:
+        """Serialized bits zero-padded to a whole number of PPM symbols, as ``uint8``.
 
         The symbol-aligned form the batched bus concatenates: padding each
         packet *before* concatenation keeps every packet's symbol boundaries
@@ -78,9 +83,8 @@ class Packet:
         error statistics stay comparable between the scalar slot loop and one
         epoch-sized transmission.
         """
-        bits = self.serialize()
-        bits += [0] * (self.symbol_count(ppm_bits) * ppm_bits - len(bits))
-        return bits
+        pad = self.symbol_count(ppm_bits) * ppm_bits - self.total_bits
+        return np.concatenate([self._bits, np.zeros(pad, dtype=np.uint8)])
 
     @classmethod
     def deserialize(cls, bits: Sequence[int]) -> "Packet":

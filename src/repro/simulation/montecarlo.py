@@ -132,13 +132,11 @@ class LinkBatchTrial:
             importance=self.importance,
             kernel=self.kernel,
         )
-        payload = generator.integers(0, 2, size=count * self.config.ppm_bits).tolist()
+        payload = generator.integers(0, 2, size=count * self.config.ppm_bits)
         result = link.transmit_bits(payload)
         if self.on_result is not None:
             self.on_result(result)
-        sent = np.asarray(result.transmitted_bits).reshape(count, -1)
-        received = np.asarray(result.received_bits).reshape(count, -1)
-        mismatches = sent != received
+        mismatches = (result.transmitted_bits != result.received_bits).reshape(count, -1)
         if self.per_symbol == "bit_errors":
             samples = np.count_nonzero(mismatches, axis=1).astype(float)
         else:
@@ -337,7 +335,7 @@ class NocTrafficTrial:
                 Packet(
                     source=int(sources[index]),
                     destination=int(destinations[index]),
-                    payload=payloads[index].tolist(),
+                    payload=payloads[index],
                     sequence=index,
                 ),
                 arrival_slot=int(arrivals[index]),

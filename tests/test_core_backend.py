@@ -114,8 +114,43 @@ class TestMakeLink:
         a = make_link(MODERATE, backend="batch", seed=3).transmit_random(2000)
         b = make_link(MODERATE, backend="batch", seed=3).transmit_random(2000)
         c = make_link(MODERATE, backend="batch", seed=4).transmit_random(2000)
-        assert a.received_bits == b.received_bits
-        assert a.received_bits != c.received_bits
+        assert a.received_bits.dtype == np.uint8 and a.received_bits.shape == (2000,)
+        np.testing.assert_array_equal(a.received_bits, b.received_bits)
+        assert not np.array_equal(a.received_bits, c.received_bits)
+
+
+@pytest.mark.parametrize("backend", ["scalar", "batch", "multichannel"])
+class TestBitValidation:
+    """Every backend validates payloads through the one shared bit validator."""
+
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            ([0.5], "bits must be 0 or 1"),
+            ([2], "bits must be 0 or 1"),
+            ([-1], "bits must be 0 or 1"),
+            ([], "bits must be non-empty"),
+        ],
+        ids=["fraction", "two", "negative", "empty"],
+    )
+    def test_rejects(self, backend, bits, message):
+        link = make_link(MODERATE, backend=backend, seed=1)
+        with pytest.raises(ValueError, match=message):
+            link.transmit_bits(bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([True, False, True, True, False]),
+            np.array([1, 0, 1, 1, 0], dtype=np.int8),
+            np.array([1.0, 0.0, 1.0, 1.0, 0.0]),
+        ],
+        ids=["bool", "int8", "float"],
+    )
+    def test_accepts(self, backend, bits):
+        result = make_link(MODERATE, backend=backend, seed=1).transmit_bits(bits)
+        assert result.transmitted_bits.dtype == np.uint8
+        np.testing.assert_array_equal(result.transmitted_bits, [1, 0, 1, 1, 0])
 
 
 class TestBackendParity:

@@ -66,7 +66,8 @@ class TestStatisticalEquivalence:
         batch = FastOpticalLink(config, seed=1).transmit_bits(payload)
         assert scalar.bit_errors == 0
         assert batch.bit_errors == 0
-        assert batch.received_bits == payload
+        assert batch.received_bits.dtype == np.uint8
+        np.testing.assert_array_equal(batch.received_bits, payload)
 
     def test_ber_estimator_backend_paths_agree(self):
         # backend= is the only engine selector (the legacy fast= boolean was
@@ -80,8 +81,8 @@ class TestDeterminism:
     def test_same_seed_identical_result(self):
         a = FastOpticalLink(MODERATE, seed=9).transmit_random(4000)
         b = FastOpticalLink(MODERATE, seed=9).transmit_random(4000)
-        assert a.received_bits == b.received_bits
-        assert a.transmitted_bits == b.transmitted_bits
+        np.testing.assert_array_equal(a.received_bits, b.received_bits)
+        np.testing.assert_array_equal(a.transmitted_bits, b.transmitted_bits)
         assert a.symbol_errors == b.symbol_errors
         assert a.detection_counts == b.detection_counts
         assert a.elapsed_time == b.elapsed_time
@@ -89,7 +90,8 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         a = FastOpticalLink(MODERATE, seed=9).transmit_random(4000)
         b = FastOpticalLink(MODERATE, seed=10).transmit_random(4000)
-        assert a.received_bits != b.received_bits
+        assert a.received_bits.shape == b.received_bits.shape == (4000,)
+        assert not np.array_equal(a.received_bits, b.received_bits)
 
 
 class TestBatchContract:
@@ -98,8 +100,8 @@ class TestBatchContract:
         payload = [1, 0, 1, 1, 0]  # 5 bits -> padded to 8
         result = link.transmit_bits(payload)
         assert isinstance(result, TransmissionResult)
-        assert result.transmitted_bits == payload
-        assert len(result.received_bits) == len(payload)
+        np.testing.assert_array_equal(result.transmitted_bits, payload)
+        assert result.received_bits.shape == (len(payload),)
         assert result.symbols_sent == 2
 
     def test_zero_photons_loses_everything(self):
@@ -125,9 +127,11 @@ class TestBatchContract:
         with pytest.raises(ValueError):
             link.transmit_random(0)
 
-    def test_received_bits_are_plain_ints(self):
+    def test_bits_are_uint8_arrays(self):
         result = FastOpticalLink(BRIGHT, seed=5).transmit_bits([1, 0, 1, 1])
-        assert all(isinstance(bit, int) for bit in result.received_bits)
+        for bits in (result.transmitted_bits, result.received_bits):
+            assert isinstance(bits, np.ndarray)
+            assert bits.dtype == np.uint8 and bits.shape == (4,)
 
 
 class TestSpadBatchWindows:

@@ -85,7 +85,8 @@ class TestStatisticalEquivalence:
             payload
         )
         assert result.bit_errors == 0
-        assert result.received_bits == payload
+        assert result.received_bits.dtype == np.uint8
+        np.testing.assert_array_equal(result.received_bits, payload)
         for channel_result in result.channel_results:
             assert channel_result.bit_errors == 0
 
@@ -95,16 +96,19 @@ class TestDeterminism:
         a = make_link(MODERATE, backend="multichannel", channels=CHANNELS, seed=9)
         b = make_link(MODERATE, backend="multichannel", channels=CHANNELS, seed=9)
         ra, rb = a.transmit_random(4000), b.transmit_random(4000)
-        assert ra.received_bits == rb.received_bits
+        np.testing.assert_array_equal(ra.received_bits, rb.received_bits)
         assert ra.detection_counts == rb.detection_counts
-        assert [c.received_bits for c in ra.channel_results] == [
-            c.received_bits for c in rb.channel_results
-        ]
+        assert len(ra.channel_results) == len(rb.channel_results) == CHANNELS
+        for ca, cb in zip(ra.channel_results, rb.channel_results):
+            assert ca.received_bits.dtype == np.uint8
+            np.testing.assert_array_equal(ca.received_bits, cb.received_bits)
 
     def test_different_seed_differs(self):
         a = make_link(MODERATE, backend="multichannel", channels=CHANNELS, seed=9)
         b = make_link(MODERATE, backend="multichannel", channels=CHANNELS, seed=10)
-        assert a.transmit_random(4000).received_bits != b.transmit_random(4000).received_bits
+        ra, rb = a.transmit_random(4000), b.transmit_random(4000)
+        assert ra.received_bits.shape == rb.received_bits.shape == (4000,)
+        assert not np.array_equal(ra.received_bits, rb.received_bits)
 
     def test_crosstalk_is_deterministic_too(self):
         crosstalk = CrosstalkModel(channel_pitch=20e-6)
@@ -114,7 +118,7 @@ class TestDeterminism:
             ).transmit_random(4000)
             for _ in range(2)
         ]
-        assert results[0].received_bits == results[1].received_bits
+        np.testing.assert_array_equal(results[0].received_bits, results[1].received_bits)
         assert results[0].detection_counts == results[1].detection_counts
 
 
@@ -124,8 +128,9 @@ class TestMultichannelContract:
         payload = [1, 0, 1, 1, 0]  # 5 bits -> 2 symbols -> 1 window of 4 (2 padded)
         result = link.transmit_bits(payload)
         assert isinstance(result, MultichannelResult)
-        assert result.transmitted_bits == payload
-        assert len(result.received_bits) == len(payload)
+        assert result.transmitted_bits.dtype == result.received_bits.dtype == np.uint8
+        np.testing.assert_array_equal(result.transmitted_bits, payload)
+        assert result.received_bits.shape == (len(payload),)
         assert result.symbols_sent == 2
         assert result.channels == 4
         # Channels 2 and 3 carried only grid padding: no payload bits.
@@ -144,7 +149,8 @@ class TestMultichannelContract:
                 bits = channel_result.transmitted_bits
                 if window * k < len(bits):
                     rebuilt.extend(bits[window * k : (window + 1) * k])
-        assert rebuilt == result.transmitted_bits
+        assert all(c.transmitted_bits.dtype == np.uint8 for c in result.channel_results)
+        np.testing.assert_array_equal(rebuilt, result.transmitted_bits)
 
     def test_aggregate_throughput_scales_with_channels(self):
         single = make_link(MODERATE, backend="multichannel", channels=1, seed=4)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.units import PS
+from repro.core.backend import make_link
+from repro.core.config import LinkConfig
 from repro.core.throughput import (
     bits_per_symbol,
     detection_cycle,
@@ -59,6 +61,35 @@ def test_ppm_pulse_time_within_data_window(value):
     codec = PpmCodec(grid)
     symbol = codec.encode_value(value)
     assert 0 <= symbol.pulse_time < grid.data_window
+
+
+# ------------------------------------------------------------ link bit path
+@settings(max_examples=30, deadline=None)
+@given(
+    backend=st.sampled_from(["scalar", "batch", "multichannel"]),
+    ppm_bits=st.integers(2, 6),
+    data=st.data(),
+)
+def test_link_bit_path_contract(backend, ppm_bits, data):
+    length = data.draw(st.integers(1, 64).filter(lambda n: n % ppm_bits), label="length")
+    payload = data.draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
+    # A dim link, so the payloads actually take bit errors.
+    config = LinkConfig(ppm_bits=ppm_bits, mean_detected_photons=1.5)
+    extra = {"channels": 3} if backend == "multichannel" else {}
+    results = [
+        make_link(config, backend=backend, seed=11, **extra).transmit_bits(bits)
+        for bits in (payload, np.array(payload, dtype=np.int64))
+    ]
+    for result in results:
+        assert result.transmitted_bits.dtype == result.received_bits.dtype == np.uint8
+        np.testing.assert_array_equal(result.transmitted_bits, payload)
+        assert len(result.received_bits) == len(payload)
+        received = result.received_bits.tolist()
+        assert result.bit_errors == sum(a != b for a, b in zip(payload, received))
+    from_list, from_array = results
+    np.testing.assert_array_equal(from_list.received_bits, from_array.received_bits)
+    assert from_list.symbol_errors == from_array.symbol_errors
+    assert from_list.detection_counts == from_array.detection_counts
 
 
 # ----------------------------------------------------------------- scrambler / FEC
