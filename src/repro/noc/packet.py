@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.modulation.symbols import as_bit_array, bits_to_int, int_to_bits
+from repro.modulation.symbols import as_bit_array, bits_to_int
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,19 @@ class Packet:
         if len(self.payload) == 0:
             raise ValueError("payload must be non-empty")
         # Validated and serialized once; not a field, so equality and
-        # hashing still see only the four declared fields.
-        header = int_to_bits(self.destination, self.ADDRESS_BITS)
-        header += int_to_bits(self.source, self.ADDRESS_BITS)
-        header += int_to_bits(self.sequence, self.SEQUENCE_BITS)
+        # hashing still see only the four declared fields.  The header is
+        # destination, source and sequence, big-endian, unpacked from bytes.
+        header = (
+            (self.destination << (self.ADDRESS_BITS + self.SEQUENCE_BITS))
+            | (self.source << self.SEQUENCE_BITS)
+            | self.sequence
+        )
+        header_bytes = header.to_bytes(self.header_bit_count() // 8, "big")
         bits = np.concatenate(
-            [np.array(header, dtype=np.uint8), as_bit_array(self.payload, "payload bits")]
+            [
+                np.unpackbits(np.frombuffer(header_bytes, dtype=np.uint8)),
+                as_bit_array(self.payload, "payload bits"),
+            ]
         )
         object.__setattr__(self, "_bits", bits)
 
@@ -62,7 +69,7 @@ class Packet:
 
     @property
     def total_bits(self) -> int:
-        return self.header_bits + len(self.payload)
+        return self._bits.size
 
     def serialize(self) -> List[int]:
         """Header followed by payload as a flat bit list."""

@@ -60,6 +60,8 @@ _REASONS = {
     408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -202,6 +204,10 @@ class ExperimentService:
             request_line = await asyncio.wait_for(reader.readline(), REQUEST_TIMEOUT)
         except asyncio.TimeoutError:
             return
+        except ValueError:
+            # StreamReader.readline raises ValueError past its 64 KiB limit.
+            await self._send_json(writer, 414, {"error": "request line too long"})
+            return
         if not request_line:
             return
         try:
@@ -216,12 +222,23 @@ class ExperimentService:
             except asyncio.TimeoutError:
                 await self._send_json(writer, 408, {"error": "request timed out"})
                 return
+            except ValueError:
+                await self._send_json(
+                    writer, 431, {"error": "request header line too large"}
+                )
+                return
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         body: Any = None
-        length = int(headers.get("content-length", 0) or 0)
+        raw_length = headers.get("content-length", "")
+        if raw_length and not (raw_length.isascii() and raw_length.isdigit()):
+            await self._send_json(
+                writer, 400, {"error": "Content-Length must be a non-negative integer"}
+            )
+            return
+        length = int(raw_length or 0)
         if length:
             if length > MAX_BODY_BYTES:
                 await self._send_json(writer, 413, {"error": "request body too large"})

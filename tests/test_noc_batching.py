@@ -27,6 +27,7 @@ import pytest
 
 from _stats import assert_proportions_equal
 from repro.analysis.units import NS
+from repro.core.backend import make_link
 from repro.core.config import LinkConfig
 from repro.noc import OpticalBus, Packet, StackTopology, broadcast
 from repro.photonics.stack import DieStack
@@ -189,6 +190,49 @@ class TestScalarBatchEquivalence:
         # The old seed + 7919*source + destination arithmetic collided, e.g.
         # (0, 7919) with (1, 0); labels cannot.
         assert bus.link_seed(0, 7919) != bus.link_seed(1, 0)
+
+
+class TestSegmentedEpoch:
+    """One segmented pass per epoch equals one ``transmit_bits`` call per group."""
+
+    PHOTONS = 600.0  # dim enough that packets see bit errors
+
+    @pytest.mark.parametrize("kernel", ["python", "cext"])
+    def test_epoch_pass_matches_group_by_group_transmission(self, kernel):
+        bus = OpticalBus(
+            small_topology(),
+            config=CONFIG,
+            emitted_photons=self.PHOTONS,
+            seed=13,
+            epoch_packets=1_000,  # every packet in one epoch
+            kernel=kernel,
+        )
+        offer_uniform_burst(bus, 96)
+        bus.run(max_slots=100_000)
+        groups = {}
+        for outcome in bus.outcomes:
+            groups.setdefault((outcome.source, outcome.destination), []).append(outcome)
+        assert len(groups) == 12  # every ordered pair of the 4-die stack
+        k = CONFIG.ppm_bits
+        total_errors = 0
+        for (source, destination), outcomes in groups.items():
+            transmission = bus.topology.channel_transmission(source, destination)
+            link = make_link(
+                CONFIG.with_detected_photons(self.PHOTONS * transmission),
+                seed=bus.link_seed(source, destination),
+            )
+            padded = [outcome.packet.padded_bits(k) for outcome in outcomes]
+            result = link.transmit_bits(np.concatenate(padded))
+            mismatches = result.transmitted_bits != result.received_bits
+            start = 0
+            for outcome, bits in zip(outcomes, padded):
+                expected = int(mismatches[start : start + outcome.packet.total_bits].sum())
+                assert outcome.bit_errors == expected, (source, destination)
+                assert outcome.delivered == (expected == 0)
+                start += bits.size
+            total_errors += sum(outcome.bit_errors for outcome in outcomes)
+        assert total_errors > 0
+        assert bus.statistics.bit_errors == total_errors
 
 
 class TestBroadcastEquivalence:

@@ -296,3 +296,61 @@ class TestErrors:
             assert "cannot bind" in capsys.readouterr().err
         finally:
             blocker.close()
+
+
+def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; return everything the server answers."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _status_and_error(response: bytes):
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)["error"]
+
+
+class TestRawHeaders:
+    """Malformed headers get a typed JSON answer, and the server keeps serving."""
+
+    @pytest.mark.parametrize(
+        "content_length", ["lots", "-5", "12abc", "1_0", "\N{SUPERSCRIPT TWO}"]
+    )
+    def test_bad_content_length_is_a_400(self, service, client, content_length):
+        request = (
+            f"POST /runs HTTP/1.1\r\nHost: x\r\nContent-Length: {content_length}\r\n\r\n{{}}"
+        ).encode("utf-8")
+        status, error = _status_and_error(_raw_exchange(service.port, request))
+        assert status == 400
+        assert "Content-Length" in error
+        assert client.scenarios()  # still serving
+
+    def test_oversized_header_line_is_a_431(self, service, client):
+        request = b"GET /scenarios HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+        status, error = _status_and_error(_raw_exchange(service.port, request))
+        assert status == 431
+        assert "header" in error
+        assert client.scenarios()
+
+    def test_oversized_request_line_is_a_414(self, service, client):
+        request = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        status, _error = _status_and_error(_raw_exchange(service.port, request))
+        assert status == 414
+        assert client.scenarios()
+
+    def test_valid_content_length_still_reads_the_body(self, service):
+        body = json.dumps({"scenario": "no-such-scenario"}).encode()
+        request = (
+            b"POST /runs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+        ) + body
+        status, error = _status_and_error(_raw_exchange(service.port, request))
+        assert status == 400
+        assert "unknown scenario" in error
+
