@@ -1,5 +1,6 @@
 """Tests for repro.spad.device."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.units import NM, NS
@@ -138,3 +139,62 @@ class TestWindowDetection:
         )
         assert event is not None
         assert event.time == pytest.approx(12 * NS)
+
+
+class TestSegmentedWindows:
+    """Several devices in one ``detect_in_windows`` scan equal one call each."""
+
+    DURATION = 40 * NS
+
+    def devices(self):
+        return [
+            SpadDevice(random_source=RandomSource(seed), quenching=QuenchingCircuit(dead_time=12 * NS))
+            for seed in (3, 4, 5)
+        ]
+
+    def offsets(self, count, seed):
+        rng = np.random.default_rng(seed)
+        offsets = rng.uniform(0.0, self.DURATION, count)
+        offsets[rng.random(count) < 0.2] = np.nan
+        return offsets
+
+    @pytest.mark.parametrize("kernel", ["python", "cext"])
+    def test_segments_continue_each_devices_own_state(self, kernel):
+        sizes, photons = (40, 0, 25), (2.0, 5.0, 0.5)
+        warm = self.offsets(30, seed=1)
+        start = 30 * self.DURATION
+        joint_devices, separate_devices = self.devices(), self.devices()
+        for device in joint_devices + separate_devices:
+            device.detect_in_windows(self.DURATION, warm, mean_photons=3.0, kernel=kernel)
+        parts = [self.offsets(size, seed=2 + size) for size in sizes]
+        starts = np.cumsum(sizes)[:-1].tolist()
+        times, origins = joint_devices[0].detect_in_windows(
+            self.DURATION, np.concatenate(parts), photons[0], start_time=start, kernel=kernel,
+            segments=list(zip(joint_devices[1:], starts, photons[1:])),
+        )
+        expected = [
+            device.detect_in_windows(self.DURATION, part, mean, start_time=start, kernel=kernel)
+            for device, part, mean in zip(separate_devices, parts, photons)
+        ]
+        assert np.array_equal(times, np.concatenate([e[0] for e in expected]), equal_nan=True)
+        assert np.array_equal(origins, np.concatenate([e[1] for e in expected]))
+        for a, b in zip(joint_devices, separate_devices):
+            assert (a._last_fire_time, a._pending_afterpulse) == (
+                b._last_fire_time,
+                b._pending_afterpulse,
+            )
+
+    def test_devices_must_share_quenching(self):
+        device, other = make_device(), make_device(quenching=QuenchingCircuit(dead_time=7 * NS))
+        with pytest.raises(ValueError, match="quenching"):
+            device.detect_in_windows(
+                self.DURATION, self.offsets(4, seed=0), segments=[(other, 2, 1.0)]
+            )
+
+    def test_segment_starts_must_rise_within_the_windows(self):
+        device, other = make_device(), make_device()
+        for start in (-1, 5):
+            with pytest.raises(ValueError, match="segment_bounds"):
+                device.detect_in_windows(
+                    self.DURATION, self.offsets(4, seed=0), segments=[(other, start, 1.0)]
+                )

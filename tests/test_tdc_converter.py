@@ -191,3 +191,50 @@ class TestBatchConversion:
     def test_convert_array_rejects_negative_times(self):
         with pytest.raises(ValueError):
             make_ideal_tdc().convert_array(np.array([-1e-9]))
+
+
+class TestSegmentedConversion:
+    """Segments on several converters equal one ``convert_array`` call each."""
+
+    COARSE = CoarseCounter(clock_frequency=1.0 / (50 * 100 * PS), bits=2)
+
+    def converters(self):
+        def converter(seed, length, metastable=False):
+            line = TappedDelayLine(
+                DelayElementModel(nominal_delay=100 * PS, mismatch_sigma=0.1),
+                length=length,
+                random_source=RandomSource(seed),
+            )
+            if not metastable:
+                return TimeToDigitalConverter(line, self.COARSE)
+            return TimeToDigitalConverter(
+                line,
+                self.COARSE,
+                metastability=MetastabilityModel(aperture=20 * PS, flip_probability=0.5),
+                random_source=RandomSource(seed + 100),
+            )
+
+        return [
+            converter(3, 55), converter(4, 60, metastable=True), converter(5, 58), converter(6, 52)
+        ]
+
+    def test_segments_equal_separate_calls(self):
+        rng = np.random.default_rng(0)
+        sizes = (200, 150, 0, 120)
+        parts = [rng.uniform(0.0, self.COARSE.period * 4.02, size) for size in sizes]
+        first, *others = self.converters()
+        joint = first.convert_array(
+            np.concatenate(parts),
+            segments=list(zip(others, np.cumsum(sizes)[:-1].tolist())),
+        )
+        separate = [
+            converter.convert_array(part) for converter, part in zip(self.converters(), parts)
+        ]
+        for field in ("coarse_codes", "fine_codes", "codes", "measured_times", "saturated"):
+            expected = np.concatenate([getattr(result, field) for result in separate])
+            assert np.array_equal(getattr(joint, field), expected), field
+
+    def test_converters_must_share_the_coarse_counter(self):
+        tdc, other = make_ideal_tdc(coarse_bits=2), make_ideal_tdc(coarse_bits=3)
+        with pytest.raises(ValueError, match="coarse counter"):
+            tdc.convert_array(np.array([1 * NS, 2 * NS]), segments=[(other, 1)])
