@@ -67,96 +67,42 @@ Backend contract: all backends share the physics and the
 seed, and are *statistically* (not draw-for-draw) equivalent to each other.
 """
 
-from repro.core import (
-    BackendCapabilities,
-    FastOpticalLink,
-    LinkBackend,
-    LinkConfig,
-    MultichannelOpticalLink,
-    MultichannelResult,
-    OpticalLink,
-    TdcDesign,
-    available_backends,
-    backend_capabilities,
-    detection_cycle,
-    make_link,
-    measurement_window,
-    register_backend,
-    resolve_backend,
-    throughput,
-)
-from repro.noc import BroadcastResult, OpticalBus, Packet, StackTopology, broadcast
-from repro.scenarios import (
-    ChaosExecutor,
-    ChaosSchedule,
-    CorruptArtifactError,
-    ExperimentReport,
-    ExperimentRunner,
-    ExperimentSession,
-    PointFailure,
-    ProcessExecutor,
-    ReportStore,
-    RetryPolicy,
-    Scenario,
-    SerialExecutor,
-    get_scenario,
-    named_scenarios,
-    run_scenario,
-)
-from repro.frontdoor import RunRequest, scenario_catalogue
-from repro.service import (
-    ExperimentService,
-    ServiceBindError,
-    ServiceClient,
-    serve_app,
-)
-from repro.simulation import NocTrafficTrial
+from repro._exports import lazy_exports
 
 __version__ = "1.6.0"
 
-__all__ = [
-    "LinkConfig",
-    "make_link",
-    "LinkBackend",
-    "BackendCapabilities",
-    "register_backend",
-    "resolve_backend",
-    "available_backends",
-    "backend_capabilities",
-    "OpticalLink",
-    "FastOpticalLink",
-    "MultichannelOpticalLink",
-    "MultichannelResult",
-    "TdcDesign",
-    "measurement_window",
-    "throughput",
-    "detection_cycle",
-    "Scenario",
-    "ExperimentRunner",
-    "ExperimentSession",
-    "ExperimentReport",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "RetryPolicy",
-    "PointFailure",
-    "ChaosSchedule",
-    "ChaosExecutor",
-    "ReportStore",
-    "CorruptArtifactError",
-    "run_scenario",
-    "get_scenario",
-    "named_scenarios",
-    "OpticalBus",
-    "Packet",
-    "StackTopology",
-    "broadcast",
-    "BroadcastResult",
-    "NocTrafficTrial",
-    "RunRequest",
-    "scenario_catalogue",
-    "ExperimentService",
-    "ServiceBindError",
-    "ServiceClient",
-    "serve_app",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core.config": ("LinkConfig",),
+        ".core.backend": (
+            "make_link",
+            "LinkBackend",
+            "BackendCapabilities",
+            "register_backend",
+            "resolve_backend",
+            "available_backends",
+            "backend_capabilities",
+        ),
+        ".core.link": ("OpticalLink",),
+        ".core.fastlink": ("FastOpticalLink",),
+        ".core.multilink": ("MultichannelOpticalLink", "MultichannelResult"),
+        ".core.throughput": ("TdcDesign", "measurement_window", "throughput", "detection_cycle"),
+        ".scenarios.scenario": ("Scenario",),
+        ".scenarios.runner": ("ExperimentRunner", "ExperimentReport", "run_scenario"),
+        ".scenarios.session": ("ExperimentSession",),
+        ".scenarios.executors": ("SerialExecutor", "ProcessExecutor"),
+        ".scenarios.faults": ("RetryPolicy", "PointFailure", "ChaosSchedule", "ChaosExecutor"),
+        ".scenarios.store": ("ReportStore", "CorruptArtifactError"),
+        ".scenarios.library": ("get_scenario", "named_scenarios"),
+        ".noc.bus": ("OpticalBus",),
+        ".noc.packet": ("Packet",),
+        ".noc.topology": ("StackTopology",),
+        ".noc.broadcast": ("broadcast", "BroadcastResult"),
+        ".simulation.montecarlo": ("NocTrafficTrial",),
+        ".frontdoor": ("RunRequest", "scenario_catalogue"),
+        ".service.app": ("ExperimentService", "ServiceBindError", "serve_app"),
+        ".service.client": ("ServiceClient",),
+    },
+)
+__all__.append("__version__")

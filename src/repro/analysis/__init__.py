@@ -1,54 +1,34 @@
 """Analysis helpers: units, statistics, parameter sweeps, plotting and reports."""
 
-from repro.analysis.units import (
-    GHZ,
-    KELVIN_0C,
-    MHZ,
-    NS,
-    PS,
-    US,
-    db_to_linear,
-    format_engineering,
-    format_si,
-    linear_to_db,
-)
-from repro.analysis.statistics import (
-    Histogram,
-    RunningStats,
-    binomial_confidence_95,
-    bootstrap_confidence_interval,
-    percentile,
-)
-from repro.analysis.sweep import Sweep, SweepResult, grid_sweep, link_ber_sweep
-from repro.analysis.plotting import ascii_heatmap, ascii_histogram, ascii_line_plot
-from repro.analysis.report import ReportTable, TextReport
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PS",
-    "NS",
-    "US",
-    "MHZ",
-    "GHZ",
-    "KELVIN_0C",
-    "db_to_linear",
-    "linear_to_db",
-    "format_si",
-    "format_engineering",
-    "Histogram",
-    "RunningStats",
-    "percentile",
-    "binomial_confidence_95",
-    "bootstrap_confidence_interval",
-    "Sweep",
-    "SweepResult",
-    "grid_sweep",
-    "link_ber_sweep",
-    "ascii_heatmap",
-    "ascii_histogram",
-    "ascii_line_plot",
-    "TextReport",
-    "ReportTable",
-]
+__all__, _export, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".units": (
+            "PS",
+            "NS",
+            "US",
+            "MHZ",
+            "GHZ",
+            "KELVIN_0C",
+            "db_to_linear",
+            "linear_to_db",
+            "format_si",
+            "format_engineering",
+        ),
+        ".statistics": (
+            "Histogram",
+            "RunningStats",
+            "percentile",
+            "binomial_confidence_95",
+            "bootstrap_confidence_interval",
+        ),
+        ".sweep": ("Sweep", "SweepResult", "grid_sweep", "link_ber_sweep"),
+        ".plotting": ("ascii_heatmap", "ascii_histogram", "ascii_line_plot"),
+        ".report": ("TextReport", "ReportTable"),
+    },
+)
 
 
 def __getattr__(name: str):
@@ -65,5 +45,5 @@ def __getattr__(name: str):
             DeprecationWarning,
             stacklevel=2,
         )
-        return TextReport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        name = "TextReport"
+    return _export(name)

@@ -69,7 +69,6 @@ from repro.core.backend import available_backends
 from repro.kernels import KERNEL_NAMES
 from repro.scenarios import (
     CorruptArtifactError,
-    ExperimentRunner,
     ReportStore,
     RetryPolicy,
     available_executors,
@@ -318,24 +317,28 @@ def _retry_policy(args: argparse.Namespace) -> Optional[RetryPolicy]:
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.resume and args.no_store:
-        raise ValueError("--resume reads the checkpoint from the store; drop --no-store")
-    scenario = frontdoor.resolve_scenario(
-        name=args.scenario,
+def _run_request(args: argparse.Namespace) -> frontdoor.RunRequest:
+    """The run/probe flags as a :class:`~repro.frontdoor.RunRequest`."""
+    return frontdoor.RunRequest.build(
+        args.scenario,
         file=args.file,
+        seed=args.seed,
+        backend=args.backend,
+        chunk_symbols=args.chunk_symbols,
         bits=args.bits,
         trial_mode=args.trial_mode,
         ci_target=args.ci_target,
         max_symbols=args.max_symbols,
+        kernel=args.kernel,
     )
-    if args.kernel is not None:
-        scenario = scenario.with_kernel(args.kernel)
-    runner = ExperimentRunner(
-        scenario,
-        seed=args.seed,
-        backend=args.backend,
-        chunk_symbols=args.chunk_symbols,
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.resume and args.no_store:
+        raise ValueError("--resume reads the checkpoint from the store; drop --no-store")
+    request = _run_request(args)
+    scenario = request.scenario
+    runner = request.runner(
         executor=args.executor,
         workers=args.workers,
         retry=_retry_policy(args),
@@ -347,7 +350,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # starting over.  A fresh (non-resume) run discards any stale
         # checkpoint left by a previous identical invocation.
         checkpoint = ReportStore(args.store).run_checkpoint(
-            scenario.to_mapping(), runner.backend, args.seed, args.chunk_symbols
+            scenario.to_mapping(), request.backend, request.seed, request.chunk_symbols
         )
         if not args.resume:
             checkpoint.discard()
@@ -399,18 +402,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     """Cache-probe: the run's artefact key and hit/pending state, no simulation."""
-    request = frontdoor.RunRequest.build(
-        args.scenario,
-        file=args.file,
-        seed=args.seed,
-        backend=args.backend,
-        chunk_symbols=args.chunk_symbols,
-        bits=args.bits,
-        trial_mode=args.trial_mode,
-        ci_target=args.ci_target,
-        max_symbols=args.max_symbols,
-        kernel=args.kernel,
-    )
+    request = _run_request(args)
     result = frontdoor.probe(ReportStore(args.store), request)
     if args.json:
         print(json.dumps(result, indent=2))

@@ -19,49 +19,32 @@ chunk_symbols)`` — never of the executor, the fleet size, worker deaths,
 or retries.  ``--executor cluster`` changes wall-clock, not content.
 """
 
-from repro.cluster.chunks import (
-    chunk_plan,
-    fan_out_eligible,
-    merge_chunk_outcomes,
-    split_point_task,
-    task_symbols,
-)
-from repro.cluster.executor import ClusterExecutor, ClusterTaskError
-from repro.cluster.protocol import (
-    Address,
-    ChannelClosed,
-    MessageChannel,
-    connect,
-    format_address,
-    outcome_from_wire,
-    outcome_to_wire,
-    parse_address,
-    parse_addresses,
-    task_from_wire,
-    task_to_wire,
-)
-from repro.cluster.worker import ClusterWorker, WorkerDeath, probe_worker
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Address",
-    "ChannelClosed",
-    "ClusterExecutor",
-    "ClusterTaskError",
-    "ClusterWorker",
-    "MessageChannel",
-    "WorkerDeath",
-    "chunk_plan",
-    "connect",
-    "fan_out_eligible",
-    "format_address",
-    "merge_chunk_outcomes",
-    "outcome_from_wire",
-    "outcome_to_wire",
-    "parse_address",
-    "parse_addresses",
-    "probe_worker",
-    "split_point_task",
-    "task_from_wire",
-    "task_symbols",
-    "task_to_wire",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".protocol": (
+            "Address",
+            "ChannelClosed",
+            "MessageChannel",
+            "connect",
+            "format_address",
+            "outcome_from_wire",
+            "outcome_to_wire",
+            "parse_address",
+            "parse_addresses",
+            "task_from_wire",
+            "task_to_wire",
+        ),
+        ".executor": ("ClusterExecutor", "ClusterTaskError"),
+        ".worker": ("ClusterWorker", "WorkerDeath", "probe_worker"),
+        ".chunks": (
+            "chunk_plan",
+            "fan_out_eligible",
+            "merge_chunk_outcomes",
+            "split_point_task",
+            "task_symbols",
+        ),
+    },
+)

@@ -30,70 +30,38 @@ This package ties the substrates together into the system the paper proposes:
   sketched in the paper's conclusions.
 """
 
-from repro.core.throughput import (
-    TdcDesign,
-    bits_per_symbol,
-    detection_cycle,
-    measurement_window,
-    throughput,
-)
-from repro.core.design_space import DesignPoint, DesignSpace, figure4_grid
-from repro.core.config import LinkConfig
-from repro.core.link import OpticalLink, TransmissionResult
-from repro.core.fastlink import FastOpticalLink
-from repro.core.multilink import MultichannelOpticalLink, MultichannelResult
-from repro.core.backend import (
-    BackendCapabilities,
-    LinkBackend,
-    available_backends,
-    backend_capabilities,
-    make_link,
-    register_backend,
-    resolve_backend,
-)
-from repro.core.error_model import ErrorBudget, symbol_error_budget
-from repro.core.ber import analytic_bit_error_rate, monte_carlo_bit_error_rate
-from repro.core.power import PowerBreakdown, link_power, pad_power_comparison
-from repro.core.area import AreaBreakdown, link_area, pad_area_comparison
-from repro.core.link_budget import LinkBudget, close_link_budget
-from repro.core.calibration import CalibrationPolicy
-from repro.core.clocking import ClockDistributionComparison, OpticalClockDistribution
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TdcDesign",
-    "measurement_window",
-    "throughput",
-    "detection_cycle",
-    "bits_per_symbol",
-    "DesignPoint",
-    "DesignSpace",
-    "figure4_grid",
-    "LinkConfig",
-    "OpticalLink",
-    "FastOpticalLink",
-    "MultichannelOpticalLink",
-    "MultichannelResult",
-    "TransmissionResult",
-    "LinkBackend",
-    "BackendCapabilities",
-    "make_link",
-    "register_backend",
-    "resolve_backend",
-    "available_backends",
-    "backend_capabilities",
-    "ErrorBudget",
-    "symbol_error_budget",
-    "analytic_bit_error_rate",
-    "monte_carlo_bit_error_rate",
-    "PowerBreakdown",
-    "link_power",
-    "pad_power_comparison",
-    "AreaBreakdown",
-    "link_area",
-    "pad_area_comparison",
-    "LinkBudget",
-    "close_link_budget",
-    "CalibrationPolicy",
-    "OpticalClockDistribution",
-    "ClockDistributionComparison",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".throughput": (
+            "TdcDesign",
+            "measurement_window",
+            "throughput",
+            "detection_cycle",
+            "bits_per_symbol",
+        ),
+        ".design_space": ("DesignPoint", "DesignSpace", "figure4_grid"),
+        ".config": ("LinkConfig",),
+        ".link": ("OpticalLink", "TransmissionResult"),
+        ".fastlink": ("FastOpticalLink",),
+        ".multilink": ("MultichannelOpticalLink", "MultichannelResult"),
+        ".backend": (
+            "LinkBackend",
+            "BackendCapabilities",
+            "make_link",
+            "register_backend",
+            "resolve_backend",
+            "available_backends",
+            "backend_capabilities",
+        ),
+        ".error_model": ("ErrorBudget", "symbol_error_budget"),
+        ".ber": ("analytic_bit_error_rate", "monte_carlo_bit_error_rate"),
+        ".power": ("PowerBreakdown", "link_power", "pad_power_comparison"),
+        ".area": ("AreaBreakdown", "link_area", "pad_area_comparison"),
+        ".link_budget": ("LinkBudget", "close_link_budget"),
+        ".calibration": ("CalibrationPolicy",),
+        ".clocking": ("OpticalClockDistribution", "ClockDistributionComparison"),
+    },
+)

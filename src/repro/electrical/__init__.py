@@ -8,20 +8,16 @@ first-order electrical models provide the power, area and bandwidth numbers
 used by the comparison benchmark (TXT-PADS) and by the examples.
 """
 
-from repro.electrical.bonding_wire import BondWire
-from repro.electrical.pad import IoPad, PadConfig
-from repro.electrical.tsv import ThroughSiliconVia
-from repro.electrical.inductive import InductiveCouplingLink
-from repro.electrical.capacitive import CapacitiveCouplingLink
-from repro.electrical.comparison import InterconnectSummary, compare_interconnects
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BondWire",
-    "IoPad",
-    "PadConfig",
-    "ThroughSiliconVia",
-    "InductiveCouplingLink",
-    "CapacitiveCouplingLink",
-    "InterconnectSummary",
-    "compare_interconnects",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bonding_wire": ("BondWire",),
+        ".pad": ("IoPad", "PadConfig"),
+        ".tsv": ("ThroughSiliconVia",),
+        ".inductive": ("InductiveCouplingLink",),
+        ".capacitive": ("CapacitiveCouplingLink",),
+        ".comparison": ("InterconnectSummary", "compare_interconnects"),
+    },
+)

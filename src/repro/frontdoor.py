@@ -146,6 +146,11 @@ def scenario_catalogue() -> List[Dict[str, Any]]:
     return [scenario_entry(get_scenario(name)) for name in named_scenarios()]
 
 
+def _is_int(value: Any) -> bool:
+    """A plain int: ``bool`` is an ``int`` subclass, but never a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunRequest:
     """A fully resolved request to execute one experiment.
@@ -181,7 +186,15 @@ class RunRequest:
         ``kernel`` pins the scenario's compute kernel
         (:meth:`Scenario.with_kernel`); ``None`` leaves the scenario as-is,
         deferring to the ``REPRO_KERNEL`` environment at execution time.
+        ``seed``, ``bits`` and ``chunk_symbols`` must be plain ints: a bool,
+        float or string is a :class:`ValueError` naming the field.
         """
+        if not _is_int(seed):
+            raise ValueError(f"seed must be an int, got {seed!r}")
+        if bits is not None and not _is_int(bits):
+            raise ValueError(f"bits must be an int, got {bits!r}")
+        if not _is_int(chunk_symbols) or chunk_symbols <= 0:
+            raise ValueError(f"chunk_symbols must be a positive int, got {chunk_symbols!r}")
         if isinstance(scenario, Scenario):
             if file is not None:
                 raise ValueError("pass exactly one of a scenario and --file PATH")
@@ -215,10 +228,6 @@ class RunRequest:
             )
         if kernel is not None:
             resolved = resolved.with_kernel(kernel)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an int, got {seed!r}")
-        if not isinstance(chunk_symbols, int) or chunk_symbols <= 0:
-            raise ValueError(f"chunk_symbols must be a positive int, got {chunk_symbols!r}")
         return cls(
             scenario=resolved,
             backend=resolve_scenario_backend(resolved, backend),

@@ -33,9 +33,12 @@ default.  Naming an unavailable kernel falls back to ``"python"`` with a
 one-time :class:`RuntimeWarning` that carries the reason (for ``"cext"``,
 why the build failed) — runs degrade, they don't die.
 
-The ``cext`` tier releases the GIL while a chunk is inside a kernel, which is
-what makes :class:`~repro.scenarios.executors.ThreadExecutor` worthwhile:
-threads run grid points genuinely in parallel with zero pickling/IPC cost.
+The ``cext`` tier releases the GIL while a chunk is inside a kernel, so
+:class:`~repro.scenarios.executors.ThreadExecutor` overlaps grid points
+without pickling or IPC.  The overlap is small, because most of a chunk is
+NumPy glue that holds the GIL: on ``design-space-grid --bits 400000`` (2
+workers, 2-core x86-64 host) thread takes 0.469 s against serial's 0.537 s
+(1.15x), where a process pool reaches 1.63x.
 
 This package is a leaf — it imports NumPy and nothing from the rest of
 :mod:`repro`, so any layer (including ``Scenario`` validation) can import it

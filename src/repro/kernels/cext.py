@@ -17,7 +17,9 @@ on doubles — the exact operations CPython floats perform.  The equivalence is
 locked by ``tests/test_kernels.py``.
 
 ctypes releases the GIL for the duration of every foreign call, so these
-kernels parallelise under :class:`~repro.scenarios.executors.ThreadExecutor`.
+kernels can overlap under :class:`~repro.scenarios.executors.ThreadExecutor`;
+the NumPy glue around them holds the GIL, which limits the end-to-end gain
+to 1.15x on 2 workers (see :mod:`repro.kernels`).
 """
 
 from __future__ import annotations

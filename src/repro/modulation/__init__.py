@@ -9,24 +9,16 @@ needed to delimit symbols, alternative line codes used as ablation baselines
 optional Hamming SEC-DED error-correction layer.
 """
 
-from repro.modulation.symbols import SlotGrid, bits_to_int, int_to_bits
-from repro.modulation.ppm import PpmCodec, PpmSymbol
-from repro.modulation.framing import Frame, FrameSync, Preamble
-from repro.modulation.line_coding import DifferentialPpmCodec, OnOffKeyingCodec
-from repro.modulation.scrambler import MultiplicativeScrambler
-from repro.modulation.error_correction import HammingSecDed
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SlotGrid",
-    "bits_to_int",
-    "int_to_bits",
-    "PpmCodec",
-    "PpmSymbol",
-    "Frame",
-    "FrameSync",
-    "Preamble",
-    "OnOffKeyingCodec",
-    "DifferentialPpmCodec",
-    "MultiplicativeScrambler",
-    "HammingSecDed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".symbols": ("SlotGrid", "bits_to_int", "int_to_bits"),
+        ".ppm": ("PpmCodec", "PpmSymbol"),
+        ".framing": ("Frame", "FrameSync", "Preamble"),
+        ".line_coding": ("OnOffKeyingCodec", "DifferentialPpmCodec"),
+        ".scrambler": ("MultiplicativeScrambler",),
+        ".error_correction": ("HammingSecDed",),
+    },
+)

@@ -9,24 +9,16 @@ broadcast primitive and a simple router for combined vertical/horizontal
 (intra-chip) traffic.
 """
 
-from repro.noc.packet import Packet
-from repro.noc.topology import NodeAddress, StackTopology
-from repro.noc.arbitration import RoundRobinArbiter, TdmaSchedule
-from repro.noc.bus import BusStatistics, OpticalBus, PacketOutcome
-from repro.noc.broadcast import BroadcastResult, broadcast
-from repro.noc.router import OpticalRouter, Route
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Packet",
-    "NodeAddress",
-    "StackTopology",
-    "RoundRobinArbiter",
-    "TdmaSchedule",
-    "OpticalBus",
-    "BusStatistics",
-    "PacketOutcome",
-    "broadcast",
-    "BroadcastResult",
-    "OpticalRouter",
-    "Route",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".packet": ("Packet",),
+        ".topology": ("NodeAddress", "StackTopology"),
+        ".arbitration": ("RoundRobinArbiter", "TdmaSchedule"),
+        ".bus": ("OpticalBus", "BusStatistics", "PacketOutcome"),
+        ".broadcast": ("broadcast", "BroadcastResult"),
+        ".router": ("OpticalRouter", "Route"),
+    },
+)

@@ -6,30 +6,18 @@ propagation across thinned stacked dies, micro-optics coupling, Fresnel
 interface losses and crosstalk between neighbouring channels.
 """
 
-from repro.photonics.silicon import SiliconAbsorption, silicon_absorption_coefficient
-from repro.photonics.led import MicroLed, MicroLedConfig
-from repro.photonics.driver import LedDriver, LedDriverConfig
-from repro.photonics.microoptics import MicroLens, coupling_efficiency
-from repro.photonics.stack import DieLayer, DieStack
-from repro.photonics.channel import OpticalChannel, ChannelBudget
-from repro.photonics.crosstalk import CrosstalkModel
-from repro.photonics.photon_stream import PhotonPulse, poisson_photon_count, pulse_arrival_times
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SiliconAbsorption",
-    "silicon_absorption_coefficient",
-    "MicroLed",
-    "MicroLedConfig",
-    "LedDriver",
-    "LedDriverConfig",
-    "MicroLens",
-    "coupling_efficiency",
-    "DieLayer",
-    "DieStack",
-    "OpticalChannel",
-    "ChannelBudget",
-    "CrosstalkModel",
-    "PhotonPulse",
-    "poisson_photon_count",
-    "pulse_arrival_times",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".silicon": ("SiliconAbsorption", "silicon_absorption_coefficient"),
+        ".led": ("MicroLed", "MicroLedConfig"),
+        ".driver": ("LedDriver", "LedDriverConfig"),
+        ".microoptics": ("MicroLens", "coupling_efficiency"),
+        ".stack": ("DieLayer", "DieStack"),
+        ".channel": ("OpticalChannel", "ChannelBudget"),
+        ".crosstalk": ("CrosstalkModel",),
+        ".photon_stream": ("PhotonPulse", "poisson_photon_count", "pulse_arrival_times"),
+    },
+)

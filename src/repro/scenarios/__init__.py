@@ -14,7 +14,7 @@ over operating points.  This subsystem makes them first-class:
   ``ppm-order-sweep``).
 * :mod:`repro.scenarios.executors` — pluggable grid-point dispatch:
   :class:`SerialExecutor` (in-process), :class:`ThreadExecutor` (thread
-  pool, GIL-free with the native compute kernels), :class:`ProcessExecutor`
+  pool; overlaps only the native kernels' GIL-free calls), :class:`ProcessExecutor`
   (process pool), and the cluster executor (:mod:`repro.cluster`, socket
   fleet) — all bit-identical to each other by construction.
 * :mod:`repro.scenarios.faults` — fault tolerance: :class:`RetryPolicy`
@@ -43,90 +43,43 @@ Quickstart
 6
 """
 
-from repro.scenarios.metrics import (
-    PointOutcome,
-    available_metrics,
-    register_metric,
-    resolve_metric,
-)
-from repro.scenarios.scenario import SPECIAL_PARAMETERS, Scenario
-from repro.scenarios.library import (
-    get_scenario,
-    named_scenarios,
-    register_scenario,
-)
-from repro.scenarios.executors import (
-    Executor,
-    PointTask,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    WorkerCountError,
-    available_executors,
-    evaluate_point,
-    make_point_tasks,
-    resolve_executor,
-)
-from repro.scenarios.faults import (
-    ChaosExecutor,
-    ChaosSchedule,
-    PointFailure,
-    PointTimeoutError,
-    RetryPolicy,
-    WorkerLostError,
-)
-from repro.scenarios.session import ExperimentSession
-from repro.scenarios.runner import (
-    ExperimentPoint,
-    ExperimentReport,
-    ExperimentRunner,
-    run_scenario,
-)
-from repro.scenarios.store import (
-    CorruptArtifactError,
-    ReportStore,
-    RunCheckpoint,
-    artifact_id,
-    run_digest,
-)
-from repro.scenarios.smoke import SmokeFailure, run_smoke
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Scenario",
-    "SPECIAL_PARAMETERS",
-    "PointOutcome",
-    "register_metric",
-    "resolve_metric",
-    "available_metrics",
-    "register_scenario",
-    "named_scenarios",
-    "get_scenario",
-    "Executor",
-    "PointTask",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "available_executors",
-    "resolve_executor",
-    "evaluate_point",
-    "make_point_tasks",
-    "RetryPolicy",
-    "PointFailure",
-    "PointTimeoutError",
-    "WorkerCountError",
-    "WorkerLostError",
-    "ChaosSchedule",
-    "ChaosExecutor",
-    "ExperimentSession",
-    "ExperimentPoint",
-    "ExperimentReport",
-    "ExperimentRunner",
-    "run_scenario",
-    "ReportStore",
-    "RunCheckpoint",
-    "CorruptArtifactError",
-    "artifact_id",
-    "run_digest",
-    "SmokeFailure",
-    "run_smoke",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".scenario": ("Scenario", "SPECIAL_PARAMETERS"),
+        ".metrics": ("PointOutcome", "register_metric", "resolve_metric", "available_metrics"),
+        ".library": ("register_scenario", "named_scenarios", "get_scenario"),
+        ".executors": (
+            "Executor",
+            "PointTask",
+            "SerialExecutor",
+            "ThreadExecutor",
+            "ProcessExecutor",
+            "available_executors",
+            "resolve_executor",
+            "evaluate_point",
+            "make_point_tasks",
+            "WorkerCountError",
+        ),
+        ".faults": (
+            "RetryPolicy",
+            "PointFailure",
+            "PointTimeoutError",
+            "WorkerLostError",
+            "ChaosSchedule",
+            "ChaosExecutor",
+        ),
+        ".session": ("ExperimentSession",),
+        ".runner": ("ExperimentPoint", "ExperimentReport", "ExperimentRunner", "run_scenario"),
+        ".store": (
+            "ReportStore",
+            "RunCheckpoint",
+            "CorruptArtifactError",
+            "artifact_id",
+            "run_digest",
+        ),
+        ".smoke": ("SmokeFailure", "run_smoke"),
+    },
+)

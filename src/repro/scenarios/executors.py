@@ -74,6 +74,7 @@ from typing import (
 
 import numpy as np
 
+from repro.kernels import get_kernel
 from repro.scenarios.faults import (
     PointFailure,
     PointTimeoutError,
@@ -83,7 +84,7 @@ from repro.scenarios.faults import (
     validate_failure_policy,
 )
 from repro.scenarios.metrics import PointOutcome, available_metrics
-from repro.scenarios.scenario import Scenario
+from repro.scenarios.scenario import NOC_PARAMETERS, Scenario
 from repro.simulation.montecarlo import (
     MonteCarloRunner,
     NocTrafficTrial,
@@ -495,6 +496,21 @@ def evaluate_task(task: PointTask) -> PointOutcome:
     )
 
 
+def _warm_parent(tasks: Sequence[PointTask]) -> None:
+    """Load in this process what evaluating ``tasks`` will load.
+
+    Called before a process pool starts: a forked worker inherits the
+    parent's modules and the loaded native kernel, so importing the NoC bus
+    (for NoC points) and resolving each task's kernel here spares every
+    worker of every pool, rebuilt ones included, from doing it again.
+    """
+    for task in tasks:
+        merged = {**task.scenario.get("link_overrides", {}), **task.parameters}
+        if any(name in merged for name in NOC_PARAMETERS):
+            import repro.noc.bus  # noqa: F401
+        get_kernel(task.scenario.get("kernel"))
+
+
 def evaluate_task_attempt(task: PointTask, attempt: int) -> PointOutcome:
     """One *attempt* at a task: the retry-aware worker entry point.
 
@@ -760,6 +776,7 @@ class ProcessExecutor:
         workers = self.workers or usable_cpu_count()
         workers = max(1, min(workers, len(tasks)))
         context = multiprocessing.get_context(self.start_method)
+        _warm_parent(tasks)
 
         def new_pool() -> concurrent.futures.ProcessPoolExecutor:
             return concurrent.futures.ProcessPoolExecutor(

@@ -25,19 +25,14 @@ cache-key policy is shared with the rest of the CLI through
 HTTP and vice versa.
 """
 
-from repro.service.app import ExperimentService, ServiceBindError, serve_app
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.registry import RunHandle, RunRegistry
-from repro.service.sse import decode_lines, encode_event
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExperimentService",
-    "ServiceBindError",
-    "serve_app",
-    "ServiceClient",
-    "ServiceError",
-    "RunRegistry",
-    "RunHandle",
-    "encode_event",
-    "decode_lines",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".app": ("ExperimentService", "ServiceBindError", "serve_app"),
+        ".client": ("ServiceClient", "ServiceError"),
+        ".registry": ("RunRegistry", "RunHandle"),
+        ".sse": ("encode_event", "decode_lines"),
+    },
+)

@@ -9,23 +9,19 @@ policy (:func:`split_seed`, :class:`RandomSource`) every layer derives its
 streams from.
 """
 
-from repro.simulation.randomness import RandomSource, split_seed
-from repro.simulation.montecarlo import (
-    TRAFFIC_PATTERNS,
-    MonteCarloResult,
-    MonteCarloRunner,
-    NocTrafficTrial,
-    link_batch_trial,
-    link_symbol_error_trial,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "RandomSource",
-    "split_seed",
-    "MonteCarloRunner",
-    "MonteCarloResult",
-    "NocTrafficTrial",
-    "TRAFFIC_PATTERNS",
-    "link_batch_trial",
-    "link_symbol_error_trial",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".randomness": ("RandomSource", "split_seed"),
+        ".montecarlo": (
+            "MonteCarloRunner",
+            "MonteCarloResult",
+            "NocTrafficTrial",
+            "TRAFFIC_PATTERNS",
+            "link_batch_trial",
+            "link_symbol_error_trial",
+        ),
+    },
+)

@@ -20,24 +20,17 @@ composes them into a stochastic detector usable by the link simulator, and
 arrays used for parallel optical buses.
 """
 
-from repro.spad.pdp import PdpCurve, default_cmos_pdp
-from repro.spad.dark_counts import DarkCountModel
-from repro.spad.afterpulsing import AfterpulsingModel
-from repro.spad.jitter import JitterModel
-from repro.spad.quenching import QuenchingCircuit, QuenchingMode
-from repro.spad.device import DetectionEvent, SpadConfig, SpadDevice
-from repro.spad.array import SpadArray
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PdpCurve",
-    "default_cmos_pdp",
-    "DarkCountModel",
-    "AfterpulsingModel",
-    "JitterModel",
-    "QuenchingCircuit",
-    "QuenchingMode",
-    "SpadConfig",
-    "SpadDevice",
-    "DetectionEvent",
-    "SpadArray",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".pdp": ("PdpCurve", "default_cmos_pdp"),
+        ".dark_counts": ("DarkCountModel",),
+        ".afterpulsing": ("AfterpulsingModel",),
+        ".jitter": ("JitterModel",),
+        ".quenching": ("QuenchingCircuit", "QuenchingMode"),
+        ".device": ("SpadConfig", "SpadDevice", "DetectionEvent"),
+        ".array": ("SpadArray",),
+    },
+)

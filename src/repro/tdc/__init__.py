@@ -16,32 +16,19 @@ of Figure 3 and the calibration procedure the paper relies on instead of
 dynamic PVT compensation.
 """
 
-from repro.tdc.delay_element import DelayElementModel
-from repro.tdc.delay_line import TappedDelayLine
-from repro.tdc.coarse_counter import CoarseCounter
-from repro.tdc.thermometer import ThermometerEncoder, binary_to_thermometer, thermometer_to_binary
-from repro.tdc.converter import TdcConversion, TimeToDigitalConverter
-from repro.tdc.nonlinearity import NonlinearityReport, code_density_test, compute_dnl_inl
-from repro.tdc.calibration import CalibrationTable, calibrate_from_code_density
-from repro.tdc.metastability import MetastabilityModel
-from repro.tdc.fpga import VIRTEX2PRO_PROFILE, FpgaCarryChainProfile, build_fpga_delay_line
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DelayElementModel",
-    "TappedDelayLine",
-    "CoarseCounter",
-    "ThermometerEncoder",
-    "thermometer_to_binary",
-    "binary_to_thermometer",
-    "TimeToDigitalConverter",
-    "TdcConversion",
-    "NonlinearityReport",
-    "code_density_test",
-    "compute_dnl_inl",
-    "CalibrationTable",
-    "calibrate_from_code_density",
-    "MetastabilityModel",
-    "FpgaCarryChainProfile",
-    "VIRTEX2PRO_PROFILE",
-    "build_fpga_delay_line",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".delay_element": ("DelayElementModel",),
+        ".delay_line": ("TappedDelayLine",),
+        ".coarse_counter": ("CoarseCounter",),
+        ".thermometer": ("ThermometerEncoder", "thermometer_to_binary", "binary_to_thermometer"),
+        ".converter": ("TimeToDigitalConverter", "TdcConversion"),
+        ".nonlinearity": ("NonlinearityReport", "code_density_test", "compute_dnl_inl"),
+        ".calibration": ("CalibrationTable", "calibrate_from_code_density"),
+        ".metastability": ("MetastabilityModel",),
+        ".fpga": ("FpgaCarryChainProfile", "VIRTEX2PRO_PROFILE", "build_fpga_delay_line"),
+    },
+)

@@ -139,6 +139,35 @@ class TestRun:
         assert "invalid choice" in capsys.readouterr().err
 
 
+class TestTypedRunFields:
+    """``bits`` and ``chunk_symbols`` are plain ints at the shared front door."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bits", "lots"), ("bits", True), ("bits", 2.0),
+         ("chunk_symbols", True), ("chunk_symbols", 2.0), ("chunk_symbols", "4096")],
+    )
+    def test_run_request_rejects_non_int_counts(self, field, value):
+        from repro import frontdoor
+
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            frontdoor.RunRequest.build("ber-vs-photons", **{field: value})
+
+    def test_file_request_rejects_non_int_bits(self, tmp_path):
+        from repro import frontdoor
+
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(get_scenario("ber-vs-photons").to_mapping()))
+        with pytest.raises(ValueError, match="^bits must be an int, got 2.0"):
+            frontdoor.RunRequest.build(None, file=str(path), bits=2.0)
+
+    def test_cli_flags_parse_as_ints(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("run", "ber-vs-photons", "--bits", "lots", "--no-store")
+        assert excinfo.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+
 class TestShowAndCompare:
     @pytest.fixture()
     def stored(self, tmp_path, capsys):

@@ -283,6 +283,16 @@ class TestErrors:
         assert excinfo.value.status == 400
         assert "kernel must be one of auto, python, cext" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bits", "lots"), ("bits", True), ("bits", 2.0), ("chunk_symbols", True)],
+    )
+    def test_non_int_counts_are_a_typed_400(self, client, field, value):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/runs", body={"scenario": SCENARIO, field: value})
+        assert excinfo.value.status == 400
+        assert f"{field} must be" in str(excinfo.value)
+
     def test_bind_failure_is_typed_and_maps_to_exit_4(self, tmp_path, capsys):
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))
