@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -127,6 +128,17 @@ def _workers_arg(value: str):
         ) from None
 
 
+def _seconds(value: str) -> float:
+    """``--retry-timeout``/``--retry-backoff``: a float that is not NaN."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = math.nan
+    if math.isnan(seconds):
+        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {value!r}")
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -180,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="suppress per-point progress lines")
     run_cmd.add_argument("--retry", type=int, default=None, metavar="N",
                          help="attempts per grid point (default 1: no retry)")
-    run_cmd.add_argument("--retry-timeout", type=float, default=None, metavar="SECONDS",
+    run_cmd.add_argument("--retry-timeout", type=_seconds, default=None, metavar="SECONDS",
                          help="per-attempt wall-clock budget (hung points are "
                               "killed and retried; needs --retry)")
-    run_cmd.add_argument("--retry-backoff", type=float, default=None, metavar="SECONDS",
+    run_cmd.add_argument("--retry-backoff", type=_seconds, default=None, metavar="SECONDS",
                          help="base delay before a retry, growing exponentially "
                               "with deterministic jitter (needs --retry)")
     run_cmd.add_argument("--failure-policy", default=None,

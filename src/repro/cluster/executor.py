@@ -21,9 +21,8 @@ Inside a point, :mod:`repro.cluster.chunks` fans the symbol budget out into
 chunk-aligned sub-tasks and folds the partial outcomes back in ascending
 symbol order, which keeps cluster reports **bit-identical** to serial and
 process runs — the executor changes completion order and wall-clock, never
-content.  The failure semantics mirror the process pool, built on the same
-:class:`~repro.scenarios.faults.RetryPolicy` /
-:class:`~repro.scenarios.faults.PointFailure` machinery: a failed attempt
+content.  The failure semantics mirror the process pool, driven by the same
+:class:`~repro.scenarios.faults.AttemptScheduler`: a failed attempt
 retries with deterministic backoff, a worker that hangs up (or stops
 heartbeating) has its in-flight chunk charged one attempt
 (:class:`~repro.scenarios.faults.WorkerLostError`) and requeued elsewhere,
@@ -38,7 +37,6 @@ so adaptive-budget waves re-use the fleet instead of re-dialling per wave.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import select
 import socket
@@ -68,38 +66,23 @@ from repro.cluster.protocol import (
     task_to_wire,
 )
 from repro.scenarios.executors import (
+    POLL_SECONDS,
     PointTask,
     WorkerCountError,
     require_plain_scenarios,
+    task_scenario,
     validate_worker_count,
 )
 from repro.scenarios.faults import (
+    AttemptScheduler,
+    ClusterTaskError,
     PointFailure,
     PointTimeoutError,
     RetryPolicy,
     WorkerLostError,
     validate_failure_policy,
 )
-from repro.scenarios.metrics import PointOutcome, available_metrics
-from repro.scenarios.scenario import Scenario
-
-
-class ClusterTaskError(RuntimeError):
-    """A worker-side evaluation error re-raised coordinator-side.
-
-    Only the exception's type name and message cross the wire; the original
-    class is preserved on :attr:`error_type` (and in ``PointFailure``
-    records, so reports look identical to an in-process failure).
-    """
-
-    def __init__(self, error_type: str, message: str) -> None:
-        super().__init__(f"{error_type}: {message}")
-        self.error_type = error_type
-
-
-#: Dispatch-loop poll interval (seconds): bounds worker-death detection and
-#: delayed-retry promotion latency without busy-waiting.
-_POLL_SECONDS = 0.05
+from repro.scenarios.metrics import PointOutcome
 
 
 class _Link:
@@ -141,15 +124,13 @@ class _Link:
 class _Point:
     """One grid point's fan-out bookkeeping during a ``map_tasks`` call."""
 
-    __slots__ = ("task", "expected", "parts", "config", "first_dispatch", "resolved")
+    __slots__ = ("task", "expected", "parts", "config")
 
     def __init__(self, task: PointTask, expected: int) -> None:
         self.task = task
         self.expected = expected
         self.parts: Dict[int, PointOutcome] = {}
         self.config: Any = None
-        self.first_dispatch: Optional[float] = None
-        self.resolved = False
 
 
 class ClusterExecutor:
@@ -311,8 +292,9 @@ class ClusterExecutor:
         if not tasks:
             return
         require_plain_scenarios(tasks, boundary="the cluster wire")
-        scenario = self._rebuild_scenario(tasks[0])
-        policy = self.retry or RetryPolicy(max_attempts=1)
+        scenario = task_scenario(tasks[0])
+        scheduler = AttemptScheduler(self.retry, self.failure_policy, self.stats)
+        timeout = scheduler.policy.timeout
         self._ensure_workers()
 
         fan_out = self.fan_out or max(1, len(self._links))
@@ -335,12 +317,8 @@ class ClusterExecutor:
         for position, entry in enumerate(all_chunks):
             self._links[position % len(self._links)].queue.append(entry)
 
-        pending: "deque[Tuple[PointTask, int]]" = deque()
-        delayed: List[Tuple[float, int, PointTask, int]] = []
-        tiebreak = itertools.count()
         in_flight: Dict[int, Tuple[PointTask, int, _Link, float]] = {}
         emit: "deque[Tuple[int, Union[PointOutcome, PointFailure]]]" = deque()
-        state = {"resolved": 0}
 
         def point_config(point: _Point) -> Any:
             if point.config is None:
@@ -349,66 +327,19 @@ class ClusterExecutor:
                 )
             return point.config
 
-        def purge_point(index: int) -> None:
-            """Drop every queued chunk of a failed point (in-flight results
-            for it are simply ignored on arrival)."""
-            for link in self._links:
-                link.queue = deque(
-                    entry for entry in link.queue if entry[0].index != index
-                )
-            nonlocal_pending = [e for e in pending if e[0].index != index]
-            pending.clear()
-            pending.extend(nonlocal_pending)
-            kept = [entry for entry in delayed if entry[2].index != index]
-            if len(kept) != len(delayed):
-                delayed[:] = kept
-                heapq.heapify(delayed)
-
-        def chunk_failed(
-            chunk: PointTask, attempt: int, error_type: str, message: str
-        ) -> None:
+        def chunk_failed(chunk: PointTask, attempt: int, error: Exception) -> None:
             """Retry a failed chunk attempt, or close its whole point out."""
-            point = points[chunk.index]
-            if point.resolved:
-                return
-            if attempt < policy.max_attempts:
-                self.stats["retries"] += 1
-                delay = policy.delay(chunk.seed, attempt)
-                if delay > 0:
-                    heapq.heappush(
-                        delayed,
-                        (time.monotonic() + delay, next(tiebreak), chunk, attempt + 1),
+            failure = scheduler.failed(chunk, attempt, error, time.monotonic())
+            if failure is not None:
+                # The scheduler dropped the point's retries; drop its queued
+                # chunks too (in-flight results for it are ignored on arrival).
+                for link in self._links:
+                    link.queue = deque(
+                        entry for entry in link.queue if entry[0].index != chunk.index
                     )
-                else:
-                    pending.append((chunk, attempt + 1))
-                return
-            self.stats["failures"] += 1
-            point.resolved = True
-            state["resolved"] += 1
-            purge_point(chunk.index)
-            if self.failure_policy == "continue":
-                started = point.first_dispatch or time.monotonic()
-                emit.append(
-                    (
-                        chunk.index,
-                        PointFailure(
-                            index=chunk.index,
-                            parameters=point.task.parameters,
-                            error_type=error_type,
-                            message=message,
-                            attempts=policy.max_attempts,
-                            elapsed=time.monotonic() - started,
-                        ),
-                    )
-                )
-                return
-            if error_type == "WorkerLostError":
-                raise WorkerLostError(message)
-            if error_type == "PointTimeoutError":
-                raise PointTimeoutError(message)
-            raise ClusterTaskError(error_type, message)
+                emit.append((chunk.index, failure))
 
-        def lose_link(link: _Link, error_type: str, message: str) -> None:
+        def lose_link(link: _Link, error: Exception) -> None:
             """A worker died or hung: requeue its work, drop the connection.
 
             The in-flight chunk is charged one attempt (the worker may have
@@ -422,17 +353,18 @@ class ClusterExecutor:
                 if entry is not None:
                     chunk, attempt, _link, _started = entry
                     self.stats["tasks_requeued"] += 1
-                    chunk_failed(chunk, attempt, error_type, message)
-            if link.queue:
-                pending.extend(link.queue)
-                link.queue.clear()
+                    chunk_failed(chunk, attempt, error)
+            for chunk, attempt in link.queue:
+                scheduler.requeued(chunk, attempt)
+            link.queue.clear()
 
-        def take_work(link: _Link) -> Optional[Tuple[PointTask, int]]:
+        def take_work(link: _Link, now: float) -> Optional[Tuple[PointTask, int]]:
             """The link's next chunk: own queue, then backlog, then stealing."""
             if link.queue:
                 return link.queue.popleft()
-            if pending:
-                return pending.popleft()
+            entry = scheduler.next_ready(now)
+            if entry is not None:
+                return entry
             victim = max(
                 (other for other in self._links if other is not link and other.queue),
                 key=lambda other: len(other.queue),
@@ -457,16 +389,14 @@ class ClusterExecutor:
             except ChannelClosed as error:
                 # The worker never received the task: requeue it uncharged,
                 # then account for whatever the dead link was holding.
-                pending.appendleft((chunk, attempt))
-                lose_link(link, "WorkerLostError", str(error))
+                scheduler.requeued(chunk, attempt)
+                lose_link(link, WorkerLostError(str(error)))
                 return False
             link.ready = False
             link.in_flight_id = task_id
             now = time.monotonic()
             in_flight[task_id] = (chunk, attempt, link, now)
-            point = points[chunk.index]
-            if point.first_dispatch is None:
-                point.first_dispatch = now
+            scheduler.dispatched(chunk, now)
             self.stats["tasks_dispatched"] += 1
             return True
 
@@ -497,55 +427,51 @@ class ClusterExecutor:
                     chunk_failed(
                         chunk,
                         attempt,
-                        str(message.get("error_type", "RuntimeError")),
-                        str(message.get("message", "")),
+                        ClusterTaskError(
+                            str(message.get("error_type", "RuntimeError")),
+                            str(message.get("message", "")),
+                        ),
                     )
                     return
                 link.tasks_done += 1
-                point = points[chunk.index]
-                if point.resolved:
+                if chunk.index in scheduler.closed:
                     return  # the point already failed; drop the partial
+                point = points[chunk.index]
                 point.parts[chunk.start_symbol] = outcome_from_wire(
                     point_config(point), message["outcome"]
                 )
                 if len(point.parts) == point.expected:
                     merged = merge_chunk_outcomes(point.parts)
-                    point.resolved = True
                     point.parts = {}
-                    state["resolved"] += 1
+                    scheduler.completed(chunk.index)
                     self.stats["points_completed"] += 1
                     emit.append((chunk.index, merged))
 
         try:
-            while state["resolved"] < len(points) or emit:
+            while len(scheduler.closed) < len(points) or emit:
                 if emit:
                     yield emit.popleft()
                     continue
                 now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _ready_at, _tie, chunk, attempt = heapq.heappop(delayed)
-                    pending.append((chunk, attempt))
                 self._adopt_incoming()
                 self.stats["workers_connected"] = len(self._links)
                 # Hand work to every idle worker (loop: a steal can cascade).
                 for link in list(self._links):
                     while link.attached and link.ready and link.in_flight_id is None:
-                        entry = take_work(link)
+                        entry = take_work(link, now)
                         if entry is None:
                             break
                         if not dispatch(link, *entry):
                             break  # the link died mid-send; the chunk is requeued
                 if not self._links:
-                    if not any(not point.resolved for point in points.values()):
+                    if len(scheduler.closed) == len(points):
                         continue
                     # The whole fleet is gone mid-run: re-dial (dial mode) or
                     # wait out the connect deadline for joiners (listen mode).
                     try:
                         self._ensure_workers()
                     except RuntimeError:
-                        outstanding = sum(
-                            1 for point in points.values() if not point.resolved
-                        )
+                        outstanding = len(points) - len(scheduler.closed)
                         raise WorkerLostError(
                             f"every cluster worker was lost with {outstanding} "
                             f"point(s) outstanding"
@@ -554,7 +480,7 @@ class ClusterExecutor:
                 channels = {link.channel.fileno(): link for link in self._links}
                 try:
                     readable, _w, _x = select.select(
-                        list(channels), [], [], _POLL_SECONDS
+                        list(channels), [], [], POLL_SECONDS
                     )
                 except (OSError, ValueError):
                     readable = []  # a channel died between listing and select
@@ -563,59 +489,34 @@ class ClusterExecutor:
                     try:
                         messages = link.channel.pump()
                     except ChannelClosed as error:
-                        lose_link(link, "WorkerLostError", str(error))
+                        lose_link(link, WorkerLostError(str(error)))
                         continue
                     for message in messages:
                         handle_message(link, message)
                 now = time.monotonic()
                 for link in list(self._links):
+                    entry = in_flight.get(link.in_flight_id)
                     if link.attached and now - link.last_seen > self.heartbeat_timeout:
                         lose_link(
                             link,
-                            "WorkerLostError",
-                            f"worker {link.label()} stopped heartbeating "
-                            f"({self.heartbeat_timeout}s)",
+                            WorkerLostError(
+                                f"worker {link.label()} stopped heartbeating "
+                                f"({self.heartbeat_timeout}s)"
+                            ),
                         )
-                if policy.timeout is not None:
-                    for task_id, entry in list(in_flight.items()):
-                        chunk, attempt, link, started = entry
-                        if now - started <= policy.timeout:
-                            continue
+                    elif entry is not None and timeout is not None and now - entry[3] > timeout:
                         # The worker is hung on this chunk: it loses the
                         # connection, and the chunk is charged a timeout.
-                        self._drop_link(link)
-                        in_flight.pop(task_id, None)
-                        link.in_flight_id = None
-                        if link.queue:
-                            pending.extend(link.queue)
-                            link.queue.clear()
-                        chunk_failed(
-                            chunk,
-                            attempt,
-                            "PointTimeoutError",
-                            f"point {chunk.index} chunk at symbol "
-                            f"{chunk.start_symbol} exceeded the "
-                            f"{policy.timeout}s budget on {link.label()}",
+                        lose_link(
+                            link,
+                            PointTimeoutError(
+                                f"point {entry[0].index} chunk at symbol "
+                                f"{entry[0].start_symbol} exceeded the "
+                                f"{timeout}s budget on {link.label()}"
+                            ),
                         )
         finally:
             self.stats["workers_connected"] = len(self._links)
-
-    # -- helpers ---------------------------------------------------------------
-    @staticmethod
-    def _rebuild_scenario(task: PointTask) -> Scenario:
-        """The scenario driving chunk planning (live object, or rebuilt).
-
-        Mirrors :func:`~repro.scenarios.executors.evaluate_task`: unknown
-        metric names are dropped before rebuilding, since planning never
-        evaluates metrics.
-        """
-        if task.live_scenario is not None:
-            return task.live_scenario
-        mapping = dict(task.scenario)
-        known = set(available_metrics())
-        kept = [name for name in mapping.get("metrics", ()) if name in known]
-        mapping["metrics"] = kept or ["ber"]
-        return Scenario.from_mapping(mapping)
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

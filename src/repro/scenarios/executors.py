@@ -50,13 +50,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import heapq
-import itertools
 import multiprocessing
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -76,6 +73,7 @@ import numpy as np
 
 from repro.kernels import get_kernel
 from repro.scenarios.faults import (
+    AttemptScheduler,
     PointFailure,
     PointTimeoutError,
     RetryPolicy,
@@ -92,6 +90,12 @@ from repro.simulation.montecarlo import (
 )
 from repro.simulation.randomness import split_seed
 from repro.spad.device import ORIGIN_BY_CODE, ImportanceSettings
+
+
+#: Poll interval of the process and cluster dispatch loops (seconds): bounds
+#: hung/dead-worker detection latency and delayed-retry promotion without
+#: busy-waiting.
+POLL_SECONDS = 0.05
 
 
 @dataclass(frozen=True)
@@ -461,11 +465,8 @@ def evaluate_noc_point(
     )
 
 
-def evaluate_task(task: PointTask) -> PointOutcome:
-    """Evaluate one :class:`PointTask` (the process-pool worker entry point).
-
-    Top-level (hence picklable by reference) and dependent only on the task's
-    plain data, so it runs identically in the parent and in worker processes.
+def task_scenario(task: PointTask) -> Scenario:
+    """The scenario a task runs under: its live object, or a rebuilt one.
 
     In-process (``live_scenario`` present) the original scenario object is
     used directly, preserving subclass overrides.  Across a process boundary
@@ -478,15 +479,23 @@ def evaluate_task(task: PointTask) -> PointOutcome:
     metrics.  Unknown names are therefore dropped before rebuilding; results
     are unaffected.
     """
-    scenario = task.live_scenario
-    if scenario is None:
-        mapping = dict(task.scenario)
-        known = set(available_metrics())
-        kept = [name for name in mapping.get("metrics", ()) if name in known]
-        mapping["metrics"] = kept or ["ber"]
-        scenario = Scenario.from_mapping(mapping)
+    if task.live_scenario is not None:
+        return task.live_scenario
+    mapping = dict(task.scenario)
+    known = set(available_metrics())
+    kept = [name for name in mapping.get("metrics", ()) if name in known]
+    mapping["metrics"] = kept or ["ber"]
+    return Scenario.from_mapping(mapping)
+
+
+def evaluate_task(task: PointTask) -> PointOutcome:
+    """Evaluate one :class:`PointTask` (the process-pool worker entry point).
+
+    Top-level (hence picklable by reference) and dependent only on the task's
+    plain data, so it runs identically in the parent and in worker processes.
+    """
     return evaluate_point(
-        scenario,
+        task_scenario(task),
         task.parameters,
         task.seed,
         task.backend,
@@ -529,51 +538,44 @@ def evaluate_task_attempt(task: PointTask, attempt: int) -> PointOutcome:
 
 
 def _evaluate_with_retry(
-    executor: Union["SerialExecutor", "ThreadExecutor"], task: PointTask
+    task: PointTask,
+    retry: Optional[RetryPolicy],
+    failure_policy: str,
+    stats: Dict[str, int],
 ) -> Union[PointOutcome, PointFailure]:
-    """Evaluate one task under the executor's retry policy, in-process.
+    """Evaluate one task under a retry policy, in-process.
 
-    The shared attempt loop of the in-process executors (serial and thread):
-    the executor contributes its ``retry``/``failure_policy`` settings and a
-    ``_bump`` counter hook (plain increments serially, lock-guarded under
-    threads).  Pre-emption is impossible in-process, so a ``timeout`` is
-    enforced *post hoc*: an attempt that overran is discarded and retried.
+    The attempt loop of the in-process executors (serial and thread): one
+    :class:`~repro.scenarios.faults.AttemptScheduler` per task, so a retried
+    point finishes before the next one starts.  Pre-emption is impossible
+    in-process, so a ``timeout`` is enforced *post hoc*: an attempt that
+    overran is discarded and retried.
     """
-    policy = executor.retry or RetryPolicy(max_attempts=1)
-    started = time.monotonic()
-    last_error: Optional[BaseException] = None
-    for attempt in range(1, policy.max_attempts + 1):
-        attempt_started = time.monotonic()
+    scheduler = AttemptScheduler(retry, failure_policy, stats, (task,))
+    timeout = scheduler.policy.timeout
+    while True:
+        now = time.monotonic()
+        entry = scheduler.next_ready(now)
+        if entry is None:
+            time.sleep(scheduler.wait_time(now))
+            continue
+        attempt = entry[1]
+        scheduler.dispatched(task, now)
         try:
             outcome = evaluate_task_attempt(task, attempt)
-        except Exception as error:
-            last_error = error
+        except Exception as caught:
+            error = caught
         else:
-            elapsed = time.monotonic() - attempt_started
-            if policy.timeout is not None and elapsed > policy.timeout:
-                last_error = PointTimeoutError(
-                    f"point {task.index} attempt {attempt} ran {elapsed:.3f}s, "
-                    f"over the {policy.timeout}s budget"
-                )
-            else:
+            elapsed = time.monotonic() - now
+            if timeout is None or elapsed <= timeout:
                 return outcome
-        if attempt < policy.max_attempts:
-            executor._bump("retries")
-            delay = policy.delay(task.seed, attempt)
-            if delay > 0:
-                time.sleep(delay)
-    executor._bump("failures")
-    assert last_error is not None
-    if executor.failure_policy == "continue":
-        return PointFailure(
-            index=task.index,
-            parameters=task.parameters,
-            error_type=type(last_error).__name__,
-            message=str(last_error),
-            attempts=policy.max_attempts,
-            elapsed=time.monotonic() - started,
-        )
-    raise last_error
+            error = PointTimeoutError(
+                f"point {task.index} attempt {attempt} ran {elapsed:.3f}s, "
+                f"over the {timeout}s budget"
+            )
+        failure = scheduler.failed(task, attempt, error, time.monotonic())
+        if failure is not None:
+            return failure
 
 
 @runtime_checkable
@@ -625,10 +627,9 @@ class SerialExecutor:
         self, tasks: Sequence[PointTask]
     ) -> Iterator[Tuple[int, Union[PointOutcome, PointFailure]]]:
         for task in tasks:
-            yield task.index, _evaluate_with_retry(self, task)
-
-    def _bump(self, key: str) -> None:
-        self.stats[key] += 1
+            yield task.index, _evaluate_with_retry(
+                task, self.retry, self.failure_policy, self.stats
+            )
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
@@ -679,9 +680,16 @@ class ThreadExecutor:
         self.stats: Dict[str, int] = {"retries": 0, "failures": 0}
         self._stats_lock = threading.Lock()
 
-    def _bump(self, key: str) -> None:
-        with self._stats_lock:
-            self.stats[key] += 1
+    def _evaluate(self, task: PointTask) -> Union[PointOutcome, PointFailure]:
+        # The scheduler's plain increments are not atomic across threads:
+        # count per call, then merge under the lock.
+        counts = {"retries": 0, "failures": 0}
+        try:
+            return _evaluate_with_retry(task, self.retry, self.failure_policy, counts)
+        finally:
+            with self._stats_lock:
+                for key, count in counts.items():
+                    self.stats[key] += count
 
     def map_tasks(
         self, tasks: Sequence[PointTask]
@@ -694,7 +702,7 @@ class ThreadExecutor:
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
         try:
             futures = {
-                pool.submit(_evaluate_with_retry, self, task): task for task in tasks
+                pool.submit(self._evaluate, task): task for task in tasks
             }
             for future in concurrent.futures.as_completed(futures):
                 yield futures[future].index, future.result()
@@ -739,10 +747,6 @@ class ProcessExecutor:
         grid.
     """
 
-    #: Poll interval for the dispatch loop (seconds): bounds hung-worker
-    #: detection latency and delayed-retry promotion without busy-waiting.
-    _POLL_SECONDS = 0.05
-
     def __init__(
         self,
         workers: Optional[int] = None,
@@ -772,7 +776,8 @@ class ProcessExecutor:
         if not tasks:
             return
         require_plain_scenarios(tasks, boundary="a process boundary")
-        policy = self.retry or RetryPolicy(max_attempts=1)
+        scheduler = AttemptScheduler(self.retry, self.failure_policy, self.stats, tasks)
+        timeout = scheduler.policy.timeout
         workers = self.workers or usable_cpu_count()
         workers = max(1, min(workers, len(tasks)))
         context = multiprocessing.get_context(self.start_method)
@@ -784,72 +789,29 @@ class ProcessExecutor:
             )
 
         pool = new_pool()
-        pending: "deque[Tuple[PointTask, int]]" = deque((task, 1) for task in tasks)
-        delayed: List[Tuple[float, int, PointTask, int]] = []  # (ready_at, tiebreak, ...)
-        tiebreak = itertools.count()
         in_flight: Dict[concurrent.futures.Future, Tuple[PointTask, int, float]] = {}
-        first_dispatch: Dict[int, float] = {}
-
-        def after_failed_attempt(
-            task: PointTask, attempt: int, error: BaseException
-        ) -> Optional[PointFailure]:
-            """Requeue a failed attempt, or close the point out.
-
-            Returns the :class:`PointFailure` to yield (``"continue"`` with
-            attempts exhausted), ``None`` when a retry was scheduled, and
-            raises the original error under ``"fail_fast"``.
-            """
-            if attempt < policy.max_attempts:
-                self.stats["retries"] += 1
-                delay = policy.delay(task.seed, attempt)
-                if delay > 0:
-                    heapq.heappush(
-                        delayed,
-                        (time.monotonic() + delay, next(tiebreak), task, attempt + 1),
-                    )
-                else:
-                    pending.append((task, attempt + 1))
-                return None
-            self.stats["failures"] += 1
-            if self.failure_policy == "continue":
-                return PointFailure(
-                    index=task.index,
-                    parameters=task.parameters,
-                    error_type=type(error).__name__,
-                    message=str(error),
-                    attempts=policy.max_attempts,
-                    elapsed=time.monotonic() - first_dispatch.get(task.index, time.monotonic()),
-                )
-            raise error
-
-        def rebuild_pool() -> None:
-            nonlocal pool
-            self._terminate_workers(pool)
-            pool = new_pool()
-            self.stats["pool_rebuilds"] += 1
-
         try:
-            while pending or delayed or in_flight:
+            while len(scheduler.closed) < len(tasks):
                 now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _ready, _tie, task, attempt = heapq.heappop(delayed)
-                    pending.append((task, attempt))
                 pool_broken = False
-                while pending and len(in_flight) < workers:
-                    task, attempt = pending.popleft()
+                while len(in_flight) < workers:
+                    entry = scheduler.next_ready(now)
+                    if entry is None:
+                        break
+                    task, attempt = entry
                     try:
                         future = pool.submit(evaluate_task_attempt, task, attempt)
                     except (concurrent.futures.BrokenExecutor, RuntimeError):
                         # The pool died between polls; requeue and rebuild.
-                        pending.appendleft((task, attempt))
+                        scheduler.requeued(task, attempt)
                         pool_broken = True
                         break
                     in_flight[future] = (task, attempt, time.monotonic())
-                    first_dispatch.setdefault(task.index, now)
+                    scheduler.dispatched(task, now)
                 if in_flight and not pool_broken:
                     done, _running = concurrent.futures.wait(
                         set(in_flight),
-                        timeout=self._POLL_SECONDS,
+                        timeout=POLL_SECONDS,
                         return_when=concurrent.futures.FIRST_COMPLETED,
                     )
                     for future in done:
@@ -865,60 +827,57 @@ class ProcessExecutor:
                             pool_broken = True
                             break
                         except concurrent.futures.CancelledError:
-                            pending.append((task, attempt))  # uncharged requeue
+                            scheduler.requeued(task, attempt)
                         except Exception as error:
-                            failure = after_failed_attempt(task, attempt, error)
+                            failure = scheduler.failed(task, attempt, error, time.monotonic())
                             if failure is not None:
                                 yield task.index, failure
                         else:
+                            scheduler.completed(task.index)
                             yield task.index, result
-                if pool_broken or getattr(pool, "_broken", False):
-                    # Which in-flight task killed the worker is unknowable, so
-                    # each is charged one attempt and requeued (or closed out).
-                    casualties = list(in_flight.values())
+                # A dead worker poisons the whole pool, and which in-flight
+                # task killed it is unknowable, so each is charged one attempt.
+                # A hung worker cannot be cancelled either: the pool goes, but
+                # only overdue tasks are charged; innocents requeue uncharged.
+                now = time.monotonic()
+                broken = pool_broken or getattr(pool, "_broken", False)
+                charged = {
+                    future
+                    for future, (_t, _a, started) in in_flight.items()
+                    if broken or (timeout is not None and now - started > timeout)
+                }
+                if broken or charged:
+                    entries = list(in_flight.items())
                     in_flight.clear()
-                    rebuild_pool()
-                    error: BaseException = concurrent.futures.process.BrokenProcessPool(
-                        "a worker process died while the task was in flight"
-                    )
-                    for task, attempt, _started in casualties:
-                        failure = after_failed_attempt(task, attempt, error)
+                    self._terminate_workers(pool)
+                    pool = new_pool()
+                    self.stats["pool_rebuilds"] += 1
+                    for future, (task, attempt, _started) in entries:
+                        if future not in charged:
+                            scheduler.requeued(task, attempt)
+                            continue
+                        error: Exception = (
+                            concurrent.futures.process.BrokenProcessPool(
+                                "a worker process died while the task was in flight"
+                            )
+                            if broken
+                            else PointTimeoutError(
+                                f"point {task.index} attempt {attempt} exceeded the "
+                                f"{timeout}s budget"
+                            )
+                        )
+                        failure = scheduler.failed(task, attempt, error, now)
                         if failure is not None:
                             yield task.index, failure
-                    continue
-                if policy.timeout is not None and in_flight:
-                    now = time.monotonic()
-                    overdue = {
-                        future
-                        for future, (_t, _a, started) in in_flight.items()
-                        if now - started > policy.timeout
-                    }
-                    if overdue:
-                        # A genuinely hung worker cannot be cancelled — kill
-                        # the pool.  Only overdue tasks are charged an attempt;
-                        # innocents requeue at their current attempt number.
-                        entries = list(in_flight.items())
-                        in_flight.clear()
-                        rebuild_pool()
-                        for future, (task, attempt, started) in entries:
-                            if future not in overdue:
-                                pending.append((task, attempt))
-                                continue
-                            timeout_error = PointTimeoutError(
-                                f"point {task.index} attempt {attempt} exceeded the "
-                                f"{policy.timeout}s budget"
-                            )
-                            failure = after_failed_attempt(task, attempt, timeout_error)
-                            if failure is not None:
-                                yield task.index, failure
-                elif not in_flight and delayed:
+                elif not in_flight:
                     # Everything is waiting out a backoff window; sleep to it.
-                    pause = delayed[0][0] - time.monotonic()
-                    if pause > 0:
-                        time.sleep(min(pause, self._POLL_SECONDS))
-        except KeyboardInterrupt:
-            # Ctrl-C must not orphan workers or leave the pool draining the
-            # grid: cancel everything queued and hard-stop the workers.
+                    pause = scheduler.wait_time(time.monotonic())
+                    if pause:
+                        time.sleep(min(pause, POLL_SECONDS))
+        except (Exception, KeyboardInterrupt):
+            # An error exit (a fail_fast point, Ctrl-C) must neither orphan
+            # workers nor wait on a hung one: cancel everything queued and
+            # hard-stop the workers.
             for future in in_flight:
                 future.cancel()
             self._terminate_workers(pool)

@@ -5,7 +5,7 @@ point seed is derived in the parent before any point runs, and
 ``evaluate_point`` touches no mutable state — so re-executing a task after a
 crash, hang or lost result is always safe: the retried attempt produces a
 **bit-identical** outcome.  This module packages that observation into the
-three pieces the executors build on:
+four pieces the executors build on:
 
 * :class:`RetryPolicy` — how many attempts a point gets, the per-task
   timeout, and an exponential backoff whose jitter is *deterministic*
@@ -16,6 +16,10 @@ three pieces the executors build on:
   when every attempt is exhausted under the ``"continue"`` failure policy
   (exception type, message, attempts, elapsed wall time), instead of
   aborting the whole run.
+* :class:`AttemptScheduler` — the one retry state machine: the serial,
+  thread, process and cluster executors feed it dispatch/failure events and
+  take the next ``(task, attempt)``, the backoff wait and the give-up
+  decision from it, keeping only their transport code.
 * :class:`ChaosSchedule` / :class:`ChaosExecutor` — deterministic fault
   injection: crashes, delays and corrupted results are injected from a
   seeded schedule keyed on ``(task seed, attempt)``, either by wrapping any
@@ -38,12 +42,15 @@ True
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import multiprocessing
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.simulation.randomness import split_seed
 
@@ -81,6 +88,21 @@ class WorkerLostError(RuntimeError):
     surviving worker — the same semantics the process pool applies to a dead
     pool member.
     """
+
+
+class ClusterTaskError(RuntimeError):
+    """A worker-side evaluation error re-raised coordinator-side.
+
+    Only the exception's type name and message cross the cluster wire; the
+    original class is preserved on :attr:`error_type` and, with the bare
+    :attr:`message`, in ``PointFailure`` records, so reports look identical
+    to an in-process failure.
+    """
+
+    def __init__(self, error_type: str, message: str) -> None:
+        super().__init__(f"{error_type}: {message}")
+        self.error_type = error_type
+        self.message = message
 
 
 class InjectedWorkerCrash(RuntimeError):
@@ -132,15 +154,17 @@ class RetryPolicy:
     max_backoff: float = 30.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
+        # A bool is not taken for an int, and every float check is written
+        # so that NaN fails it.
+        if type(self.max_attempts) is not int or self.max_attempts < 1:
             raise ValueError(f"max_attempts must be a positive int, got {self.max_attempts!r}")
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:
             raise ValueError(f"timeout must be positive (or None), got {self.timeout!r}")
-        if self.backoff < 0:
+        if not self.backoff >= 0:
             raise ValueError(f"backoff must be non-negative, got {self.backoff!r}")
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor!r}")
-        if self.max_backoff < 0:
+        if not self.max_backoff >= 0:
             raise ValueError(f"max_backoff must be non-negative, got {self.max_backoff!r}")
 
     def delay(self, seed: int, attempt: int) -> float:
@@ -198,6 +222,111 @@ class PointFailure:
         if missing:
             raise ValueError(f"point-failure mapping lacks key(s): {', '.join(missing)}")
         return cls(**data)
+
+
+class AttemptScheduler:
+    """The retry state machine every executor drives.
+
+    Transport-agnostic and pure: it never reads the clock and never sleeps;
+    every event carries the caller's ``now``.  It owns the queue of ready
+    ``(task, attempt)`` pairs, the backoff heap, attempt counting, each
+    point's first-dispatch time, the ``retries``/``failures`` counters (in the
+    ``stats`` mapping it is given) and the give-up decision.  A task is
+    anything with ``index``, ``seed`` and ``parameters`` — a
+    :class:`~repro.scenarios.executors.PointTask` or a cluster chunk of one.
+    Points are keyed by ``task.index``, so the chunks of one point share a
+    clock and a fate.
+
+    Events and the scheduler's answer to each:
+
+    * :meth:`dispatched` — start the point's clock (first dispatch only);
+    * :meth:`failed` with attempts left — count a retry and queue
+      ``attempt + 1`` once ``policy.delay(task.seed, attempt)`` has passed;
+    * :meth:`failed` on the last attempt — count a failure, :meth:`drop` the
+      point, then return its :class:`PointFailure` (``"continue"``) or
+      re-raise the error (``"fail_fast"``);
+    * :meth:`requeued` — queue the same attempt again, uncharged;
+    * :meth:`completed` — close the point;
+    * :meth:`drop` — close the point and discard what it has queued.
+
+    Events for a closed point are ignored.  :meth:`next_ready` hands out the
+    next ``(task, attempt)`` whose backoff has expired (a retry without backoff
+    is ready at once), and :meth:`wait_time` says how long until the next
+    one does.
+    """
+
+    def __init__(
+        self,
+        retry: Optional[RetryPolicy],
+        failure_policy: str,
+        stats: Dict[str, int],
+        tasks: Iterable[Any] = (),
+    ) -> None:
+        self.policy = retry or RetryPolicy(max_attempts=1)
+        self.failure_policy = failure_policy
+        self.stats = stats
+        #: Indices of the points that completed, were exhausted or dropped.
+        self.closed: Set[int] = set()
+        self._ready: "deque[Tuple[Any, int]]" = deque((task, 1) for task in tasks)
+        #: Retries as (ready_at, tiebreak, task, attempt), a heap on ready_at.
+        self._delayed: List[Tuple[float, int, Any, int]] = []
+        self._tiebreak = itertools.count()
+        self._first_dispatch: Dict[int, float] = {}
+
+    def next_ready(self, now: float) -> Optional[Tuple[Any, int]]:
+        """The next ``(task, attempt)`` to dispatch, or ``None``."""
+        while self._delayed and self._delayed[0][0] <= now:
+            _ready_at, _tie, task, attempt = heapq.heappop(self._delayed)
+            self._ready.append((task, attempt))
+        return self._ready.popleft() if self._ready else None
+
+    def wait_time(self, now: float) -> Optional[float]:
+        """Seconds until the next backoff expires; ``None`` if none is running."""
+        return max(0.0, self._delayed[0][0] - now) if self._delayed else None
+
+    def dispatched(self, task: Any, now: float) -> None:
+        self._first_dispatch.setdefault(task.index, now)
+
+    def requeued(self, task: Any, attempt: int) -> None:
+        if task.index not in self.closed:
+            self._ready.append((task, attempt))
+
+    def completed(self, index: int) -> None:
+        self.closed.add(index)
+
+    def drop(self, index: int) -> None:
+        self.closed.add(index)
+        self._ready = deque(entry for entry in self._ready if entry[0].index != index)
+        self._delayed = [entry for entry in self._delayed if entry[2].index != index]
+        heapq.heapify(self._delayed)
+
+    def failed(
+        self, task: Any, attempt: int, error: BaseException, now: float
+    ) -> Optional[PointFailure]:
+        """Charge ``attempt`` to its point: ``None`` if a retry was queued."""
+        if task.index in self.closed:
+            return None
+        if attempt < self.policy.max_attempts:
+            self.stats["retries"] += 1
+            ready_at = now + self.policy.delay(task.seed, attempt)
+            heapq.heappush(self._delayed, (ready_at, next(self._tiebreak), task, attempt + 1))
+            return None
+        self.stats["failures"] += 1
+        self.drop(task.index)
+        if self.failure_policy != "continue":
+            raise error
+        if isinstance(error, ClusterTaskError):
+            error_type, message = error.error_type, error.message
+        else:
+            error_type, message = type(error).__name__, str(error)
+        return PointFailure(
+            index=task.index,
+            parameters=task.parameters,
+            error_type=error_type,
+            message=message,
+            attempts=self.policy.max_attempts,
+            elapsed=now - self._first_dispatch.get(task.index, now),
+        )
 
 
 #: Fault kinds a :class:`ChaosSchedule` injects.

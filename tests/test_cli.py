@@ -254,6 +254,13 @@ class TestRetryAndResumeFlags:
                        "--no-store") == 1
         assert "--retry" in capsys.readouterr().err
 
+    def test_nan_retry_timeout_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("run", "ber-vs-photons", "--retry", "2", "--retry-timeout", "nan",
+                    "--no-store")
+        assert excinfo.value.code == 2
+        assert "--retry-timeout" in capsys.readouterr().err
+
     def test_resume_conflicts_with_no_store(self, capsys):
         assert run_cli("run", "ber-vs-photons", "--resume", "--no-store") == 1
         assert "--no-store" in capsys.readouterr().err

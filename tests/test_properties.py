@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,12 @@ from repro.modulation.error_correction import HammingSecDed
 from repro.modulation.ppm import PpmCodec
 from repro.modulation.scrambler import MultiplicativeScrambler
 from repro.modulation.symbols import SlotGrid, bits_to_int, int_to_bits
+from repro.scenarios.faults import (
+    FAILURE_POLICIES,
+    AttemptScheduler,
+    PointFailure,
+    RetryPolicy,
+)
 from repro.tdc.coarse_counter import CoarseCounter
 from repro.tdc.nonlinearity import compute_dnl_inl
 from repro.tdc.thermometer import binary_to_thermometer, majority_filter, thermometer_to_binary
@@ -239,3 +247,124 @@ def test_segmented_scan_is_separate_scans_back_to_back(sizes, seed, base):
         assert np.array_equal(times, expected_times, equal_nan=True), name
         assert np.array_equal(origins, expected_origins), name
         assert list(zip(fires.tolist(), pendings.tolist())) == expected_state, name
+
+
+# ---------------------------------------------------------- attempt scheduler
+#: A point, or one chunk of a point: the scheduler keys its state on ``index``.
+_Task = namedtuple("_Task", "index seed parameters chunk")
+
+
+@pytest.mark.chaos
+@settings(max_examples=150, deadline=None)
+@given(
+    points=st.lists(
+        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=3), min_size=1, max_size=4
+    ),
+    max_attempts=st.integers(1, 4),
+    backoff=st.sampled_from([0.0, 0.5]),
+    failure_policy=st.sampled_from(FAILURE_POLICIES),
+    data=st.data(),
+)
+def test_attempt_scheduler_under_random_fault_schedules(
+    points, max_attempts, backoff, failure_policy, data
+):
+    """Drive the scheduler with a random schedule of attempt outcomes.
+
+    Each point has one to three chunks (one chunk seed each), as a cluster
+    point does.  The test keeps its own model of the schedule: which attempt
+    of each chunk is due when.  Every attempt whose time has come is
+    dispatched at once, so an attempt handed out too early or too late shows
+    as a mismatch with the model.  A chunk that exhausts its attempts closes
+    its point: the point's other queued chunks are dropped, and events for
+    its chunks still in flight are ignored.
+    """
+    policy = RetryPolicy(max_attempts=max_attempts, backoff=backoff)
+    tasks = [
+        _Task(index, seed, {"x": index}, chunk)
+        for index, seeds in enumerate(points)
+        for chunk, seed in enumerate(seeds)
+    ]
+    stats = {"retries": 0, "failures": 0}
+    scheduler = AttemptScheduler(policy, failure_policy, stats, tasks)
+    # (index, chunk) -> (attempt, due time) of every chunk waiting to run.
+    due = {(task.index, task.chunk): (1, 0.0) for task in tasks}
+    charged = {(task.index, task.chunk): 0 for task in tasks}
+    first_dispatch, resolved, finished, in_flight = {}, {}, set(), []
+    expected = {"retries": 0, "failures": 0}
+    now, raised = 0.0, None
+    for step in range(400):
+        while (entry := scheduler.next_ready(now)) is not None:
+            task, attempt = entry
+            key = (task.index, task.chunk)
+            assert task.index not in resolved
+            assert due.pop(key) == (attempt, now)
+            assert attempt == charged[key] + 1 <= max_attempts
+            first_dispatch.setdefault(task.index, now)
+            scheduler.dispatched(task, now)
+            in_flight.append(entry)
+        assert all(at > now for _attempt, at in due.values())
+        if len(resolved) == len(points):
+            break
+        # Random events first, then completions only, so every run drains.
+        events = ("complete", "fail", "requeue", "advance") if step < 60 else ("complete",)
+        event = data.draw(st.sampled_from(events))
+        if event == "advance" or not in_flight:
+            wait = scheduler.wait_time(now)
+            if due:
+                following = min(at for _attempt, at in due.values())
+                assert wait == pytest.approx(following - now)
+                now = following
+            else:
+                assert wait is None
+                now += 0.25
+            continue
+        task, attempt = in_flight.pop(data.draw(st.integers(0, len(in_flight) - 1)))
+        key = (task.index, task.chunk)
+        if event == "complete":
+            if task.index in resolved:
+                continue  # a late chunk of a closed point: dropped on arrival
+            finished.add(key)
+            if all((task.index, chunk) in finished for chunk in range(len(points[task.index]))):
+                scheduler.completed(task.index)
+                resolved[task.index] = "completed"
+        elif event == "requeue":
+            scheduler.requeued(task, attempt)
+            if task.index not in resolved:
+                due[key] = (attempt, now)
+        else:
+            error = RuntimeError(f"point {task.index} chunk {task.chunk} attempt {attempt}")
+            failure = None
+            try:
+                failure = scheduler.failed(task, attempt, error, now)
+            except RuntimeError as caught:
+                raised = caught
+            if task.index in resolved:
+                assert failure is None and raised is None
+                continue
+            charged[key] += 1
+            if attempt < max_attempts:
+                assert failure is None and raised is None
+                expected["retries"] += 1
+                due[key] = (attempt + 1, now + policy.delay(task.seed, attempt))
+                continue
+            expected["failures"] += 1
+            for other in [other for other in due if other[0] == task.index]:
+                del due[other]
+            if failure_policy == "fail_fast":
+                assert raised is error
+                break
+            assert failure == PointFailure(
+                index=task.index,
+                parameters=task.parameters,
+                error_type="RuntimeError",
+                message=str(error),
+                attempts=max_attempts,
+                elapsed=now - first_dispatch[task.index],
+            )
+            resolved[task.index] = failure
+    assert stats == expected
+    if raised is None:
+        assert sorted(resolved) == list(range(len(points)))
+        assert not due
+        assert all(task.index in resolved for task, _attempt in in_flight)
+        assert scheduler.next_ready(float("inf")) is None

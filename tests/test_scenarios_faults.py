@@ -12,6 +12,8 @@ standalone CI job (``pytest -m chaos``) under a hard timeout.
 """
 
 import os
+import time
+from collections import namedtuple
 
 import pytest
 
@@ -31,11 +33,14 @@ from repro.scenarios import (
 )
 from repro.scenarios.faults import (
     CHAOS_ENV,
+    AttemptScheduler,
     InjectedCorruption,
     InjectedWorkerCrash,
     PointTimeoutError,
     active_chaos,
 )
+from repro.scenarios.executors import make_point_tasks
+from repro.simulation.randomness import split_seed
 
 
 def small_scenario(seed_policy: str = "per-point") -> Scenario:
@@ -59,6 +64,11 @@ class TestRetryPolicy:
             RetryPolicy(backoff=-1)
         with pytest.raises(ValueError, match="backoff_factor"):
             RetryPolicy(backoff_factor=0.5)
+        with pytest.raises(ValueError, match="max_attempts"):
+            RetryPolicy(max_attempts=True)
+        for name in ("timeout", "backoff", "backoff_factor", "max_backoff"):
+            with pytest.raises(ValueError, match=name):
+                RetryPolicy(**{name: float("nan")})
 
     def test_delay_is_deterministic_and_bounded(self):
         policy = RetryPolicy(max_attempts=5, backoff=1.0, backoff_factor=2.0, max_backoff=3.0)
@@ -88,6 +98,35 @@ class TestPointFailure:
             PointFailure.from_mapping({"index": 0, "bogus": 1})
         with pytest.raises(ValueError, match="lacks key"):
             PointFailure.from_mapping({"index": 0})
+
+
+class TestAttemptScheduler:
+    def test_an_exhausted_chunk_closes_its_whole_point(self):
+        # Chunks a and b belong to point 0, c to point 1.  b is requeued
+        # (its worker was lost) while a fails its last attempt: b's queued
+        # attempt is dropped with the point, and b's late events are ignored.
+        Chunk = namedtuple("Chunk", "index seed parameters")
+        a, b, c = Chunk(0, 1, {"x": 0}), Chunk(0, 2, {"x": 0}), Chunk(1, 3, {"x": 1})
+        stats = {"retries": 0, "failures": 0}
+        scheduler = AttemptScheduler(RetryPolicy(max_attempts=2), "continue", stats, [a, b, c])
+        assert [scheduler.next_ready(0.0) for _ in range(3)] == [(a, 1), (b, 1), (c, 1)]
+        for chunk in (a, b, c):
+            scheduler.dispatched(chunk, 0.0)
+        assert scheduler.failed(a, 1, RuntimeError("a1"), 0.0) is None
+        assert scheduler.next_ready(0.0) == (a, 2)
+        scheduler.requeued(b, 1)
+        failure = scheduler.failed(a, 2, RuntimeError("a2"), 0.5)
+        assert failure == PointFailure(
+            index=0, parameters={"x": 0}, error_type="RuntimeError",
+            message="a2", attempts=2, elapsed=0.5,
+        )
+        assert scheduler.next_ready(float("inf")) is None
+        assert scheduler.failed(b, 1, RuntimeError("b1"), 1.0) is None
+        scheduler.requeued(b, 1)
+        assert scheduler.next_ready(float("inf")) is None
+        scheduler.completed(c.index)
+        assert scheduler.closed == {0, 1}
+        assert stats == {"retries": 1, "failures": 1}
 
 
 class TestChaosSchedule:
@@ -348,6 +387,28 @@ class TestProcessRecovery:
         }
         for point in report.points:
             assert point.to_mapping() == survivors[tuple(sorted(point.parameters.items()))]
+
+    def test_fail_fast_error_does_not_wait_for_a_hung_worker(self):
+        # Point 0's first attempt sleeps 30 s; point 1's is corrupt and ends
+        # the fail_fast run.  The error must reach the caller without
+        # waiting for the sleeping worker.
+        schedule = ChaosSchedule(
+            seed=0, delay_rate=0.5, corrupt_rate=0.5, delay_seconds=30.0,
+            max_faulty_attempts=1,
+        )
+        tasks = make_point_tasks(
+            get_scenario("ber-vs-photons"), seed=0, backend="batch", chunk_symbols=8192
+        )[:2]
+        faults = [
+            schedule.fault_for(split_seed(task.seed, f"chaos-point:{task.index}"), 1)
+            for task in tasks
+        ]
+        assert faults == ["delay", "corrupt"]
+        pool = ProcessExecutor(workers=2, retry=RetryPolicy(max_attempts=1, timeout=5.0))
+        started = time.monotonic()
+        with pytest.raises(InjectedCorruption):
+            list(ChaosExecutor(pool, schedule).map_tasks(tasks))
+        assert time.monotonic() - started < 10.0
 
     def test_keyboard_interrupt_terminates_workers_and_propagates(self):
         pool = ProcessExecutor(workers=2)
