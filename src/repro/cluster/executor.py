@@ -38,6 +38,8 @@ so adaptive-budget waves re-use the fleet instead of re-dialling per wave.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import select
 import socket
 import threading
@@ -83,6 +85,19 @@ from repro.scenarios.faults import (
     validate_failure_policy,
 )
 from repro.scenarios.metrics import PointOutcome
+
+
+def _positive_seconds(name: str, value: Any) -> float:
+    """A finite, positive number of seconds, or :class:`ValueError` naming ``name``.
+
+    A NaN timeout would never expire (``elapsed > nan`` is never true) and a
+    negative one would expire at once, so both are refused here rather than
+    deep inside the dispatch loop.  A bool is not taken for a number.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if 0.0 < float(value) < math.inf:
+            return float(value)
+    raise ValueError(f"{name} must be a positive, finite number of seconds, got {value!r}")
 
 
 class _Link:
@@ -187,8 +202,8 @@ class ClusterExecutor:
         self.fan_out = validate_worker_count(fan_out)
         self.retry = retry
         self.failure_policy = validate_failure_policy(failure_policy)
-        self.connect_timeout = float(connect_timeout)
-        self.heartbeat_timeout = float(heartbeat_timeout)
+        self.connect_timeout = _positive_seconds("connect_timeout", connect_timeout)
+        self.heartbeat_timeout = _positive_seconds("heartbeat_timeout", heartbeat_timeout)
         self.stats: Dict[str, int] = {
             "workers_connected": 0,
             "workers_lost": 0,

@@ -131,7 +131,10 @@ class FastOpticalLink(OpticalLink):
         if any(payload.size == 0 for payload in bit_arrays):
             raise ValueError("bits must be non-empty")
         k = self.config.ppm_bits
-        padded = [np.pad(payload, (0, -payload.size % k)) for payload in bit_arrays]
+        padded = [
+            np.pad(payload, (0, -payload.size % k)) if payload.size % k else payload
+            for payload in bit_arrays
+        ]
         symbol_bounds = [0, *accumulate(payload.size // k for payload in padded)]
 
         values = self.codec.encode_bits_to_values(np.concatenate(padded))

@@ -17,7 +17,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".packet": ("Packet",),
         ".topology": ("NodeAddress", "StackTopology"),
         ".arbitration": ("RoundRobinArbiter", "TdmaSchedule"),
-        ".bus": ("OpticalBus", "BusStatistics", "PacketOutcome"),
+        ".bus": ("OpticalBus", "BusStatistics", "BusOutcomes", "PacketOutcome"),
         ".broadcast": ("broadcast", "BroadcastResult"),
         ".router": ("OpticalRouter", "Route"),
     },

@@ -97,18 +97,33 @@ class RoundRobinArbiter:
 
     def request(self, node: int, item: object, arrival: int = 0) -> None:
         """Enqueue a transmission request for ``node``, arriving at ``arrival``."""
-        if node not in self._pending:
-            raise ValueError(f"unknown node {node}")
-        if arrival < 0:
-            raise ValueError("arrival slot must be non-negative")
-        queue = self._pending[node]
-        if queue and queue[-1][0] > arrival:
-            raise ValueError(
-                f"requests for node {node} must be enqueued in arrival order "
-                f"(got arrival {arrival} after arrival {queue[-1][0]})"
-            )
-        queue.append((arrival, item))
-        heapq.heappush(self._heads, (arrival, node))
+        self.request_many([node], [item], [arrival])
+
+    def request_many(
+        self, nodes: Sequence[int], items: Sequence[object], arrivals: Sequence[int]
+    ) -> None:
+        """Enqueue requests in the given order, as :meth:`request` would one by one.
+
+        All or nothing: every request is checked before any is queued, so a
+        rejected batch leaves the queues as they were.
+        """
+        tails: Dict[int, int] = {}
+        for node, arrival in zip(nodes, arrivals):
+            queue = self._pending.get(node)
+            if queue is None:
+                raise ValueError(f"unknown node {node}")
+            if arrival < 0:
+                raise ValueError("arrival slot must be non-negative")
+            last = tails.get(node, queue[-1][0] if queue else arrival)
+            if last > arrival:
+                raise ValueError(
+                    f"requests for node {node} must be enqueued in arrival order "
+                    f"(got arrival {arrival} after arrival {last})"
+                )
+            tails[node] = arrival
+        for node, item, arrival in zip(nodes, items, arrivals):
+            self._pending[node].append((arrival, item))
+            heapq.heappush(self._heads, (arrival, node))
 
     def pending_count(self, node: Optional[int] = None) -> int:
         if node is None:

@@ -21,7 +21,7 @@ seed-derivation policy (:func:`~repro.simulation.randomness.split_seed`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,17 +48,25 @@ def tile_symbols_for_receivers(
 
 
 def per_receiver_bit_errors(
-    mismatches: np.ndarray, channels: int, payload_bits: int
+    mismatches: np.ndarray, channels: int, payload_bits: Sequence[int]
 ) -> np.ndarray:
-    """Per-receiver error counts of one tiled broadcast transmission.
+    """Per-receiver error counts of the packets of one tiled broadcast transmission.
 
     ``mismatches`` is the ``(rows, channels, ppm_bits)`` boolean sent/received
-    disagreement array of a :func:`tile_symbols_for_receivers` payload;
-    counting is restricted to each receiver's first ``payload_bits`` bits
-    (the zero-padding of the final partial symbol is excluded).
+    disagreement array of a :func:`tile_symbols_for_receivers` payload that
+    carries packets back to back, each padded to whole symbols;
+    ``payload_bits`` holds each packet's bit count.  Returns a ``(packets,
+    channels)`` array: counting covers each packet's own bits on each
+    receiver (the zero-padding of its final partial symbol is excluded).
     """
+    ppm_bits = mismatches.shape[2]
     per_receiver = mismatches.transpose(1, 0, 2).reshape(channels, -1)
-    return per_receiver[:, :payload_bits].sum(axis=1)
+    cumulative = np.zeros((channels, per_receiver.shape[1] + 1), dtype=np.int64)
+    np.cumsum(per_receiver, axis=1, out=cumulative[:, 1:])
+    bits = np.asarray(payload_bits, dtype=np.int64)
+    starts = np.zeros(bits.size, dtype=np.int64)
+    np.cumsum(-(-bits[:-1] // ppm_bits) * ppm_bits, out=starts[1:])
+    return (cumulative[:, starts + bits] - cumulative[:, starts]).T
 
 
 @dataclass
@@ -131,7 +139,7 @@ def broadcast(
         mismatches = (outcome.transmitted_bits != outcome.received_bits).reshape(
             -1, channels, k
         )
-        errors_per_receiver = per_receiver_bit_errors(mismatches, channels, len(bits))
+        errors_per_receiver = per_receiver_bit_errors(mismatches, channels, [len(bits)])[0]
         for node, errors in zip(receivers, errors_per_receiver):
             result.receivers[node] = int(errors) == 0
             result.bit_errors[node] = int(errors)

@@ -4,19 +4,41 @@ A shared, time-slotted optical medium spanning the die stack: in each symbol
 slot the arbiter grants one transmitter, whose micro-LED pulse is seen by the
 SPAD of every other die (broadcast by construction).  The bus model is
 behavioural — PPM transmission through the link model of each span with the
-correct stack attenuation, plus queueing/latency statistics — but the slot
-loop is *batch-first*: arbitration accumulates an **epoch** of grants
-(packet, source, destination, slot span), and the whole epoch's unicast
-traffic is flushed as **one** segmented transmission (the ``segments`` of
-the batch engine's ``transmit_bits``): each ``(source,
-destination)`` group is one segment on its own link, built once through the
-backend registry (:func:`repro.core.backend.make_link`) and cached for the
-life of the bus, with its own detector reset, seed and TDC delay line, while
-encoding, the dead-time scan, TDC conversion and decoding run once over the
-concatenation.  Per-packet bit errors are differences of one cumulative sum
-over the epoch's bit mismatches.  Broadcast packets are one ``(S, C)`` pass
-per source on the ``"multichannel"`` backend, with per-receiver stack
-attenuations as channel gains.
+correct stack attenuation, plus queueing/latency statistics.
+
+**Traffic is held as columns.**  Every offered packet is one row of the bus's
+traffic store: source, destination, sequence-number and arrival-slot columns,
+and the packet's serialized bits zero-padded to whole PPM symbols, back to
+back in one flat ``uint8`` buffer with per-row offsets (a CSR layout, so
+ragged payloads fit).  :meth:`OpticalBus.offer` appends one validated
+:class:`~repro.noc.packet.Packet`; :meth:`OpticalBus.offer_columns` appends a
+whole batch of column arrays without building a ``Packet``, checked in
+vectorised form and failing with the error the row's ``Packet`` would raise.
+The arbiter queues row indices.
+
+**The slot loop is batch-first.**  Arbitration accumulates an **epoch** of
+granted rows with their slot spans, and the whole epoch's unicast traffic is
+flushed as **one** segmented transmission (the ``segments`` of the batch
+engine's ``transmit_bits``): each ``(source, destination)`` group is one
+segment on its own link, built once through the backend registry
+(:func:`repro.core.backend.make_link`) and cached for the life of the bus,
+with its own detector reset, seed and TDC delay line, while encoding, the
+dead-time scan, TDC conversion and decoding run once over the concatenation.
+The segment payloads are fancy-indexed out of the padded buffer, and
+per-packet bit errors are differences of one cumulative sum over the epoch's
+bit mismatches.  Broadcast packets are one ``(S, C)`` pass per source on the
+``"multichannel"`` backend, with per-receiver stack attenuations as channel
+gains.
+
+**Outcomes are arrays too.**  Each flush records its packets' rows, slot
+spans, bit errors, delivered bits and delivered flags as arrays, plus a
+``(rows, C)`` per-receiver error block for broadcasts.  :attr:`OpticalBus.outcomes`
+is a :class:`BusOutcomes` view of those records that builds a
+:class:`PacketOutcome` only when one is indexed.  ``total_latency`` reaches
+reports through ``mean_latency``, so its float summation order is part of
+their digests: it is accumulated in record order as the last element of
+``np.cumsum([total, l1, l2, ...])``, which is the sequential ``+=`` bit for
+bit (a pairwise ``np.sum`` is not).
 
 Arbitration — and therefore every slot assignment and latency — is identical
 whatever the backend; only the error statistics are stochastic, and those are
@@ -31,19 +53,24 @@ Per-link seeds follow the central seed-derivation policy
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.backend import backend_capabilities, make_link, resolve_backend
 from repro.core.config import LinkConfig
 from repro.kernels import get_kernel
+from repro.modulation.symbols import as_bit_array
 from repro.noc.arbitration import RoundRobinArbiter
 from repro.noc.broadcast import per_receiver_bit_errors, tile_symbols_for_receivers
 from repro.noc.packet import Packet
 from repro.noc.topology import StackTopology
 from repro.simulation.randomness import split_seed
+
+#: Destination address of a broadcast packet (see :attr:`Packet.is_broadcast`).
+BROADCAST = (1 << Packet.ADDRESS_BITS) - 1
 
 
 @dataclass
@@ -122,15 +149,142 @@ class PacketOutcome:
     receiver_errors: Mapping[int, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _Grant:
-    """One arbiter grant of an epoch, with its slot span fixed."""
+class _ColumnLog:
+    """Array columns appended in batches and joined on demand."""
 
-    packet: Packet
-    source: int
-    arrival_slot: int
-    start_slot: int
-    end_slot: int
+    def __init__(self, *empty: np.ndarray) -> None:
+        self._parts: List[Tuple[np.ndarray, ...]] = [empty]
+
+    def append(self, *columns: np.ndarray) -> None:
+        self._parts.append(columns)
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        if len(self._parts) > 1:
+            self._parts = [tuple(np.concatenate(column) for column in zip(*self._parts))]
+        return self._parts[0]
+
+
+class _TrafficStore:
+    """The offered packets as columns: one row per packet, in offer order.
+
+    After :meth:`join`, ``source``, ``destination``, ``sequence``,
+    ``arrival`` and ``total_bits`` (header + payload) are per-row ``int64``
+    columns, and row ``r``'s bits, zero-padded to whole PPM symbols, are
+    ``padded[offsets[r]:offsets[r + 1]]``.
+    """
+
+    def __init__(self) -> None:
+        int_column = np.empty(0, dtype=np.int64)
+        self._log = _ColumnLog(*(int_column,) * 6, np.empty(0, dtype=np.uint8))
+        self.rows = 0
+        self._stale = True
+
+    def append(self, source, destination, sequence, arrival, total_bits, padded_lengths, padded):
+        """Append rows (one entry per row in every column; ``padded`` back to back)."""
+        columns = [
+            np.asarray(column, dtype=np.int64)
+            for column in (source, destination, sequence, arrival, total_bits, padded_lengths)
+        ]
+        self._log.append(*columns, padded)
+        self.rows += columns[0].size
+        self._stale = True
+
+    def join(self) -> None:
+        """Bring the columns up to date with every appended row."""
+        if not self._stale:
+            return
+        (
+            self.source,
+            self.destination,
+            self.sequence,
+            self.arrival,
+            self.total_bits,
+            padded_lengths,
+            self.padded,
+        ) = self._log.columns()
+        self.offsets = np.zeros(self.rows + 1, dtype=np.int64)
+        np.cumsum(padded_lengths, out=self.offsets[1:])
+        self._stale = False
+
+    def padded_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The padded bits of ``rows`` back to back, and where each row starts."""
+        lengths = self.offsets[rows + 1] - self.offsets[rows]
+        starts = np.zeros(rows.size, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        index = np.arange(int(lengths.sum())) + np.repeat(self.offsets[rows] - starts, lengths)
+        return self.padded[index], starts
+
+    def bits(self, row: int) -> np.ndarray:
+        """Row ``row``'s serialized bits, unpadded."""
+        start = self.offsets[row]
+        return self.padded[start : start + self.total_bits[row]]
+
+    def packet(self, row: int) -> Packet:
+        return Packet(
+            source=int(self.source[row]),
+            destination=int(self.destination[row]),
+            payload=self.bits(row)[Packet.header_bit_count() :].tolist(),
+            sequence=int(self.sequence[row]),
+        )
+
+
+class BusOutcomes(SequenceABC):
+    """The recorded packet outcomes of a bus, as columns in record order.
+
+    One record per packet the bus has transmitted, or burnt as
+    undeliverable: epoch by epoch, each epoch group by group in first-grant
+    order and in grant order within a group (an undeliverable packet is
+    recorded when it is granted).  Every attribute is an array with one
+    entry per record, except the broadcast block: ``receiver_errors`` has one
+    row per broadcast record (their record positions are
+    ``broadcast_records``) and one column per receiver, the stack's nodes
+    without the source in node order.  Indexing builds the
+    :class:`PacketOutcome` of one record.
+    """
+
+    def __init__(self, bus: "OpticalBus") -> None:
+        store = bus._store
+        store.join()
+        (
+            self._rows,
+            self.start_slot,
+            self.end_slot,
+            self.bit_errors,
+            self.bits_delivered,
+            self.delivered,
+        ) = bus._records.columns()
+        self.source = store.source[self._rows]
+        self.destination = store.destination[self._rows]
+        self.sequence = store.sequence[self._rows]
+        self.arrival_slot = store.arrival[self._rows]
+        self.latency = (self.end_slot - self.arrival_slot) * bus._symbol_duration
+        self.broadcast_records, self.receiver_errors = bus._receiver_errors.columns()
+        self._bus = bus
+
+    def __len__(self) -> int:
+        return self._rows.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[position] for position in range(*index.indices(len(self)))]
+        index = range(len(self))[index]
+        receiver_errors: Dict[int, int] = {}
+        position = int(np.searchsorted(self.broadcast_records, index))
+        if position < self.broadcast_records.size and self.broadcast_records[position] == index:
+            receivers = self._bus._broadcast_receivers(int(self.source[index]))
+            receiver_errors = dict(zip(receivers, self.receiver_errors[position].tolist()))
+        return PacketOutcome(
+            packet=self._bus._store.packet(int(self._rows[index])),
+            source=int(self.source[index]),
+            destination=int(self.destination[index]),
+            arrival_slot=int(self.arrival_slot[index]),
+            start_slot=int(self.start_slot[index]),
+            end_slot=int(self.end_slot[index]),
+            bit_errors=int(self.bit_errors[index]),
+            delivered=bool(self.delivered[index]),
+            latency=float(self.latency[index]),
+            receiver_errors=receiver_errors,
+        )
 
 
 class OpticalBus:
@@ -192,9 +346,17 @@ class OpticalBus:
         self._batched = capabilities.supports_batch
         # The kernel only reaches backends that accept it.
         self._link_kernel = kernel if capabilities.supports_kernel else None
+        self._symbol_duration = config.symbol_duration
         self.arbiter = RoundRobinArbiter(topology.node_count)
         self.statistics = BusStatistics()
-        self.outcomes: List[PacketOutcome] = []
+        self._store = _TrafficStore()
+        empty = np.empty(0, dtype=np.int64)
+        # Record log: row, start slot, end slot, bit errors, bits delivered,
+        # delivered flag; broadcasts add (record position, receiver errors).
+        self._records = _ColumnLog(*(empty,) * 5, np.empty(0, dtype=bool))
+        receivers = max(topology.node_count - 1, 0)
+        self._receiver_errors = _ColumnLog(empty, np.empty((0, receivers), dtype=np.int64))
+        self._recorded = 0
         self._slot = 0  # persistent slot clock: run() continues, never rewinds
         self._links: Dict[Tuple[int, int], object] = {}
         self._broadcast_links: Dict[int, object] = {}
@@ -277,12 +439,108 @@ class OpticalBus:
         """
         if packet.source >= self.topology.node_count:
             raise ValueError("packet source is not a node of this topology")
-        self.arbiter.request(packet.source, (packet, arrival_slot), arrival=arrival_slot)
+        self.arbiter.request(packet.source, self._store.rows, arrival=arrival_slot)
+        padded = packet.padded_bits(self.config.ppm_bits)
+        self._store.append(
+            [packet.source],
+            [packet.destination],
+            [packet.sequence],
+            [arrival_slot],
+            [packet.total_bits],
+            [padded.size],
+            padded,
+        )
         self.statistics.packets_offered += 1
+
+    def offer_columns(
+        self,
+        sources: Sequence[int],
+        destinations: Sequence[int],
+        payloads,
+        sequences: Sequence[int],
+        arrival_slots: Sequence[int],
+    ) -> None:
+        """Queue a batch of packets given as columns, one row per packet.
+
+        Row ``i`` is the packet ``Packet(source=sources[i],
+        destination=destinations[i], payload=payloads[i],
+        sequence=sequences[i])`` offered at ``arrival_slots[i]``, and the
+        batch behaves as :meth:`offer` called row by row, in order — but no
+        ``Packet`` is built: the rows are checked in vectorised form, and
+        headers and padding are built for the whole batch at once.
+        ``payloads`` is a 2-D bit matrix (one payload per row) or a sequence
+        of 1-D bit sequences of any lengths.  A batch with an invalid row
+        raises the :class:`ValueError` of the first one, exactly as its
+        ``Packet`` or :meth:`offer` would, and queues nothing.
+        """
+        columns = [np.asarray(column) for column in (sources, destinations, sequences, arrival_slots)]
+        count = columns[0].size
+        if any(column.shape != (count,) for column in columns) or len(payloads) != count:
+            raise ValueError("packet columns must be one-dimensional and of equal length")
+        if count == 0:
+            return
+        source, destination, sequence, arrival = columns
+        address_limit = 1 << Packet.ADDRESS_BITS
+        invalid = (
+            (source < 0)
+            | (source >= min(self.topology.node_count, address_limit))
+            | (destination < 0)
+            | (destination >= address_limit)
+            | (sequence < 0)
+            | (sequence >= 1 << Packet.SEQUENCE_BITS)
+        ).any()
+        matrix = isinstance(payloads, np.ndarray) and payloads.ndim == 2
+        try:
+            if matrix:
+                bit_rows = as_bit_array(payloads, "payload bits")
+                invalid |= bit_rows.shape[1] == 0
+            else:
+                bit_rows = [as_bit_array(payload, "payload bits") for payload in payloads]
+                invalid |= any(row.ndim != 1 or row.size == 0 for row in bit_rows)
+        except ValueError:
+            invalid = True
+        if invalid:
+            # Rare path: replay the rows one by one so the first invalid row
+            # raises exactly what its Packet, or offer(), would.
+            for row in zip(*(column.tolist() for column in columns[:3]), payloads):
+                packet = Packet(source=row[0], destination=row[1], sequence=row[2], payload=row[3])
+                if packet.source >= self.topology.node_count:
+                    raise ValueError("packet source is not a node of this topology")
+        headers = Packet.encode_headers(source, destination, sequence)
+        header_bits = headers.shape[1]
+        k = self.config.ppm_bits
+        if matrix:
+            total = header_bits + bit_rows.shape[1]
+            total_bits = np.full(count, total)
+            padded = np.zeros((count, -(-total // k) * k), dtype=np.uint8)
+            padded[:, :header_bits] = headers
+            padded[:, header_bits:total] = bit_rows
+            padded_lengths = np.full(count, padded.shape[1])
+        else:
+            total_bits = header_bits + np.array([row.size for row in bit_rows])
+            padded_lengths = -(-total_bits // k) * k
+            offsets = np.concatenate(([0], np.cumsum(padded_lengths)))
+            padded = np.zeros(offsets[-1], dtype=np.uint8)
+            for start, header, row in zip(offsets.tolist(), headers, bit_rows):
+                padded[start : start + header_bits] = header
+                padded[start + header_bits : start + header_bits + row.size] = row
+        first = self._store.rows
+        self.arbiter.request_many(
+            source.tolist(), range(first, first + count), arrival.tolist()
+        )
+        self._store.append(
+            source, destination, sequence, arrival, total_bits, padded_lengths, padded.ravel()
+        )
+        self.statistics.packets_offered += count
 
     def symbol_slots_per_packet(self, packet: Packet) -> int:
         """Number of PPM symbols needed to carry a packet."""
         return packet.symbol_count(self.config.ppm_bits)
+
+    @property
+    def outcomes(self) -> BusOutcomes:
+        """Every packet outcome recorded so far, in record order (a columnar view)."""
+        return BusOutcomes(self)
 
     def run(self, max_slots: int = 10_000) -> BusStatistics:
         """Drain the queued packets through the bus.
@@ -299,60 +557,50 @@ class OpticalBus:
         """
         if max_slots <= 0:
             raise ValueError("max_slots must be positive")
+        store = self._store
+        store.join()
+        symbols = ((store.offsets[1:] - store.offsets[:-1]) // self.config.ppm_bits).tolist()
+        undeliverable = set(
+            np.flatnonzero(
+                (store.destination >= self.topology.node_count) & (store.destination != BROADCAST)
+            ).tolist()
+        )
+        grant = self.arbiter.grant
         slot = self._slot
         horizon = slot + max_slots
-        epoch: List[_Grant] = []
+        rows: List[int] = []
+        starts: List[int] = []
         while slot < horizon:
-            grant = self.arbiter.grant(slot)
-            if grant is None:
+            granted = grant(slot)
+            if granted is None:
                 next_arrival = self.arbiter.next_arrival()
                 if next_arrival is None or next_arrival >= horizon:
                     break
                 slot = max(slot + 1, next_arrival)
                 continue
-            source, (packet, arrival_slot) = grant
-            if not packet.is_broadcast and packet.destination >= self.topology.node_count:
+            row = granted[1]
+            if row in undeliverable:
                 # Undeliverable unicast address: the slot is burnt and the
                 # packet is recorded as corrupted (one outcome per offered
                 # packet, like every other path).
-                self._record(
-                    _Grant(
-                        packet=packet,
-                        source=source,
-                        arrival_slot=arrival_slot,
-                        start_slot=slot,
-                        end_slot=slot + 1,
-                    ),
-                    packet.destination,
-                    bit_errors=0,
-                    bits_delivered=0,
-                    delivered=False,
-                )
+                zero = np.zeros(1, dtype=np.int64)
+                self._record(np.array([row]), np.array([slot]), np.array([slot + 1]), zero, zero)
                 slot += 1
                 continue
-            slots_used = self.symbol_slots_per_packet(packet)
-            epoch.append(
-                _Grant(
-                    packet=packet,
-                    source=source,
-                    arrival_slot=arrival_slot,
-                    start_slot=slot,
-                    end_slot=slot + slots_used,
-                )
-            )
-            slot += slots_used
-            self.statistics.busy_slots += slots_used
-            if len(epoch) >= self.epoch_packets:
-                self._flush_epoch(epoch)
-                epoch = []
-        self._flush_epoch(epoch)
+            rows.append(row)
+            starts.append(slot)
+            slot += symbols[row]
+            if len(rows) >= self.epoch_packets:
+                self._flush_epoch(rows, starts)
+                rows, starts = [], []
+        self._flush_epoch(rows, starts)
         self.statistics.total_slots += max(slot - self._slot, 1)
         self._slot = slot
         return self.statistics
 
     # -- epoch flushing ----------------------------------------------------------
-    def _flush_epoch(self, epoch: List[_Grant]) -> None:
-        """Transmit one epoch of grants and record every packet's outcome.
+    def _flush_epoch(self, rows: List[int], starts: List[int]) -> None:
+        """Transmit one epoch of granted rows and record every packet's outcome.
 
         All unicast ``(source, destination)`` groups of the epoch share one
         transmission pass (:meth:`_unicast_errors`); each broadcast group is
@@ -361,47 +609,63 @@ class OpticalBus:
         are recorded group by group, in the order each group was first
         granted.
         """
-        groups: Dict[Tuple[int, object], List[_Grant]] = {}
-        for entry in epoch:
-            destination = "broadcast" if entry.packet.is_broadcast else entry.packet.destination
-            groups.setdefault((entry.source, destination), []).append(entry)
-        unicast = [(key, entries) for key, entries in groups.items() if key[1] != "broadcast"]
-        errors = iter(self._unicast_errors(unicast))
-        for (source, destination), entries in groups.items():
-            if destination == "broadcast":
-                self._flush_broadcast(source, entries)
+        if not rows:
+            return
+        store = self._store
+        rows = np.array(rows)
+        starts = np.array(starts)
+        ends = starts + (store.offsets[rows + 1] - store.offsets[rows]) // self.config.ppm_bits
+        self.statistics.busy_slots += int((ends - starts).sum())
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        keys = zip(store.source[rows].tolist(), store.destination[rows].tolist())
+        for position, key in enumerate(keys):
+            groups.setdefault(key, []).append(position)
+        unicast = [(key, positions) for key, positions in groups.items() if key[1] != BROADCAST]
+        errors = self._unicast_errors([(key, rows[positions]) for key, positions in unicast])
+        # Consecutive unicast groups are recorded together; a broadcast group
+        # is recorded in its place between them.
+        pending: List[int] = []
+        done = 0
+        for (source, destination), positions in groups.items():
+            if destination != BROADCAST:
+                pending += positions
                 continue
-            for entry in entries:
-                self._record_unicast(entry, destination, next(errors), entry.packet.total_bits)
+            if pending:
+                self._record_unicast(rows[pending], starts[pending], ends[pending], errors[done : done + len(pending)])
+                done += len(pending)
+                pending = []
+            self._flush_broadcast(source, rows[positions], starts[positions], ends[positions])
+        if pending:
+            self._record_unicast(rows[pending], starts[pending], ends[pending], errors[done:])
 
-    def _unicast_errors(
-        self, groups: List[Tuple[Tuple[int, object], List[_Grant]]]
-    ) -> List[int]:
+    def _unicast_errors(self, groups: List[Tuple[Tuple[int, int], np.ndarray]]) -> np.ndarray:
         """Bit errors of every unicast packet of the epoch, in group order.
 
         The batch engine sends the whole epoch as one segmented transmission:
-        one segment per group, carrying its packets' symbol-aligned bits on
-        that group's link (the ``segments`` of the first link's
+        one segment per group, carrying its packets' padded bits on that
+        group's link (the ``segments`` of the first link's
         ``transmit_bits``); links of other batch backends transmit group by
-        group.  Per-packet counts are
-        differences of one cumulative sum over the mismatches.
-        The scalar backend replays the packet-at-a-time slot loop, the
-        draw-for-draw reference.
+        group.  Per-packet counts are differences of one cumulative sum over
+        the mismatches.  The scalar backend replays the packet-at-a-time slot
+        loop, the draw-for-draw reference.
         """
-        links = [self._link_for(source, int(destination)) for (source, destination), _ in groups]
-        packets = [[entry.packet for entry in entries] for _, entries in groups]
+        store = self._store
+        links = [self._link_for(source, destination) for (source, destination), _ in groups]
         if not self._batched:
-            return [
-                link.transmit_bits(packet.serialize()).bit_errors
-                for link, group in zip(links, packets)
-                for packet in group
-            ]
+            return np.array(
+                [
+                    link.transmit_bits(store.bits(row)).bit_errors
+                    for link, (_, rows) in zip(links, groups)
+                    for row in rows.tolist()
+                ],
+                dtype=np.int64,
+            )
         if not links:
-            return []
-        k = self.config.ppm_bits
-        payloads = [
-            np.concatenate([packet.padded_bits(k) for packet in group]) for group in packets
-        ]
+            return np.empty(0, dtype=np.int64)
+        ordered = np.concatenate([rows for _, rows in groups])
+        payload, starts = store.padded_rows(ordered)
+        group_starts = np.cumsum([rows.size for _, rows in groups[:-1]], dtype=np.int64)
+        payloads = np.split(payload, starts[group_starts])
         if self.backend == "batch":
             segments = list(zip(links[1:], payloads[1:]))
             results = [links[0].transmit_bits(payloads[0], segments=segments)]
@@ -410,108 +674,91 @@ class OpticalBus:
         mismatches = np.concatenate(
             [result.transmitted_bits != result.received_bits for result in results]
         )
-        flat = [packet for group in packets for packet in group]
-        starts = np.zeros(len(flat), dtype=np.int64)
-        np.cumsum([packet.symbol_count(k) * k for packet in flat[:-1]], out=starts[1:])
-        ends = starts + np.array([packet.total_bits for packet in flat], dtype=np.int64)
-        cumulative = np.concatenate(([0], np.cumsum(mismatches)))
-        return (cumulative[ends] - cumulative[starts]).tolist()
+        cumulative = np.zeros(mismatches.size + 1, dtype=np.int64)
+        np.cumsum(mismatches, out=cumulative[1:])
+        return cumulative[starts + store.total_bits[ordered]] - cumulative[starts]
 
-    def _flush_broadcast(self, source: int, entries: List[_Grant]) -> None:
+    def _flush_broadcast(
+        self, source: int, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    ) -> None:
+        store = self._store
         receivers = self._broadcast_receivers(source)
         if not receivers:
             # A single-node "stack" has nobody to broadcast to; still one
             # (corrupted) outcome per offered packet.
-            for entry in entries:
-                self._record(
-                    entry, entry.packet.destination, 0, 0, delivered=False
-                )
+            zero = np.zeros(rows.size, dtype=np.int64)
+            self._record(rows, starts, ends, zero, zero)
             return
         k = self.config.ppm_bits
         channels = len(receivers)
+        bits = store.total_bits[rows]
         if self._batched:
-            # One (S, C) pass for the whole epoch group: each packet's
-            # symbols tiled across the C receiver channels by the shared
-            # broadcast layout (repro.noc.broadcast defines it once).
-            blocks: List[np.ndarray] = []
-            spans: List[Tuple[int, int, int]] = []
-            row = 0
-            for entry in entries:
-                padded = entry.packet.padded_bits(k)
-                blocks.append(tile_symbols_for_receivers(padded, k, channels))
-                rows = padded.size // k
-                spans.append((row, rows, entry.packet.total_bits))
-                row += rows
+            # One (S, C) pass for the whole epoch group: the packets' symbols
+            # tiled across the C receiver channels by the shared broadcast
+            # layout (repro.noc.broadcast defines it once).
+            payload, _ = store.padded_rows(rows)
             link = self._broadcast_link_for(source)
-            result = link.transmit_bits(np.concatenate(blocks))
+            result = link.transmit_bits(tile_symbols_for_receivers(payload, k, channels))
             mismatches = (result.transmitted_bits != result.received_bits).reshape(
-                row, channels, k
+                -1, channels, k
             )
-            for entry, (start, rows, bits) in zip(entries, spans):
-                errors = per_receiver_bit_errors(
-                    mismatches[start : start + rows], channels, bits
-                )
-                self._record_broadcast(entry, receivers, [int(e) for e in errors], bits)
+            errors = per_receiver_bit_errors(mismatches, channels, bits)
         else:
-            for entry in entries:
-                bits = entry.packet.serialize()
-                errors = []
-                for node in receivers:
-                    outcome = self._broadcast_scalar_link_for(source, node).transmit_bits(bits)
-                    errors.append(int(outcome.bit_errors))
-                self._record_broadcast(entry, receivers, errors, len(bits))
+            errors = np.array(
+                [
+                    [
+                        self._broadcast_scalar_link_for(source, node)
+                        .transmit_bits(store.bits(row))
+                        .bit_errors
+                        for node in receivers
+                    ]
+                    for row in rows.tolist()
+                ],
+                dtype=np.int64,
+            )
+        totals = errors.sum(axis=1)
+        self._record(rows, starts, ends, totals, bits * channels, totals == 0, errors)
 
     # -- statistics --------------------------------------------------------------
+    def _record_unicast(
+        self, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray, errors: np.ndarray
+    ) -> None:
+        self._record(rows, starts, ends, errors, self._store.total_bits[rows], errors == 0)
+
     def _record(
         self,
-        entry: _Grant,
-        destination: int,
-        bit_errors: int,
-        bits_delivered: int,
-        delivered: bool,
-        receiver_errors: Mapping[int, int] = (),
+        rows: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        bit_errors: np.ndarray,
+        bits_delivered: np.ndarray,
+        delivered: Optional[np.ndarray] = None,
+        receiver_errors: Optional[np.ndarray] = None,
     ) -> None:
-        symbol_duration = self.config.symbol_duration
-        latency = (entry.end_slot - entry.arrival_slot) * symbol_duration
-        self.statistics.bits_delivered += bits_delivered
-        self.statistics.bit_errors += bit_errors
-        if delivered:
-            self.statistics.packets_delivered += 1
-            self.statistics.total_latency += latency
-        else:
-            self.statistics.packets_corrupted += 1
-        self.outcomes.append(
-            PacketOutcome(
-                packet=entry.packet,
-                source=entry.source,
-                destination=destination,
-                arrival_slot=entry.arrival_slot,
-                start_slot=entry.start_slot,
-                end_slot=entry.end_slot,
-                bit_errors=bit_errors,
-                delivered=delivered,
-                latency=latency,
-                receiver_errors=dict(receiver_errors),
+        """Append outcomes to the record log and fold them into the statistics.
+
+        ``delivered`` defaults to all-false (corrupted or undeliverable).
+        """
+        if delivered is None:
+            delivered = np.zeros(rows.size, dtype=bool)
+        statistics = self.statistics
+        statistics.bits_delivered += int(bits_delivered.sum())
+        statistics.bit_errors += int(bit_errors.sum())
+        count = int(np.count_nonzero(delivered))
+        statistics.packets_delivered += count
+        statistics.packets_corrupted += rows.size - count
+        if count:
+            arrivals = self._store.arrival[rows[delivered]]
+            latency = (ends[delivered] - arrivals) * self._symbol_duration
+            # Sequential, in record order: the digest depends on the order.
+            statistics.total_latency = float(
+                np.cumsum(np.concatenate(([statistics.total_latency], latency)))[-1]
             )
-        )
-
-    def _record_unicast(
-        self, entry: _Grant, destination: int, errors: int, bits: int
-    ) -> None:
-        self._record(entry, destination, errors, bits, delivered=errors == 0)
-
-    def _record_broadcast(
-        self, entry: _Grant, receivers: List[int], errors: List[int], bits: int
-    ) -> None:
-        total = int(sum(errors))
-        self._record(
-            entry,
-            entry.packet.destination,
-            total,
-            bits * len(receivers),
-            delivered=total == 0,
-            receiver_errors=dict(zip(receivers, errors)),
-        )
+        if receiver_errors is not None:
+            positions = np.arange(self._recorded, self._recorded + rows.size)
+            self._receiver_errors.append(positions, receiver_errors)
+        self._records.append(rows, starts, ends, bit_errors, bits_delivered, delivered)
+        self._recorded += rows.size
 
     # -- figures of merit -------------------------------------------------------------
     def raw_slot_rate(self) -> float:

@@ -37,21 +37,31 @@ class Packet:
         if len(self.payload) == 0:
             raise ValueError("payload must be non-empty")
         # Validated and serialized once; not a field, so equality and
-        # hashing still see only the four declared fields.  The header is
-        # destination, source and sequence, big-endian, unpacked from bytes.
-        header = (
-            (self.destination << (self.ADDRESS_BITS + self.SEQUENCE_BITS))
-            | (self.source << self.SEQUENCE_BITS)
-            | self.sequence
-        )
-        header_bytes = header.to_bytes(self.header_bit_count() // 8, "big")
-        bits = np.concatenate(
-            [
-                np.unpackbits(np.frombuffer(header_bytes, dtype=np.uint8)),
-                as_bit_array(self.payload, "payload bits"),
-            ]
-        )
+        # hashing still see only the four declared fields.
+        header = self.encode_headers([self.source], [self.destination], [self.sequence])
+        bits = np.concatenate([header[0], as_bit_array(self.payload, "payload bits")])
         object.__setattr__(self, "_bits", bits)
+
+    @classmethod
+    def encode_headers(cls, sources, destinations, sequences) -> np.ndarray:
+        """Header bits of many packets at once, one ``uint8`` row per packet.
+
+        Destination, source and sequence number, big-endian, unpacked from
+        bytes: the layout :meth:`deserialize` reads back.  The fields must be
+        integers (:class:`TypeError` otherwise); their ranges are the
+        caller's to check, as :meth:`__post_init__` does.
+        """
+        fields = [np.asarray(field) for field in (destinations, sources, sequences)]
+        if any(field.dtype.kind not in "biu" for field in fields):
+            raise TypeError("packet header fields must be integers")
+        destination, source, sequence = (field.astype(np.uint64) for field in fields)
+        header = (
+            (destination << np.uint64(cls.ADDRESS_BITS + cls.SEQUENCE_BITS))
+            | (source << np.uint64(cls.SEQUENCE_BITS))
+            | sequence
+        )
+        octets = header.astype(">u8").view(np.uint8).reshape(-1, 8)
+        return np.unpackbits(octets[:, 8 - cls.header_bit_count() // 8 :], axis=1)
 
     @property
     def is_broadcast(self) -> bool:

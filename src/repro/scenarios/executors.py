@@ -426,11 +426,8 @@ def evaluate_noc_point(
             totals.merge(bus.statistics)
             # Bits of error-free packets (broadcasts count every receiver's
             # copy) — the numerator of saturation_throughput.
-            good_bits += sum(
-                outcome.packet.total_bits * max(len(outcome.receiver_errors), 1)
-                for outcome in bus.outcomes
-                if outcome.delivered
-            )
+            outcomes = bus.outcomes
+            good_bits += int(outcomes.bits_delivered[outcomes.delivered].sum())
 
         trial = NocTrafficTrial(
             config=config,

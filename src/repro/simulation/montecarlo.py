@@ -213,10 +213,13 @@ class NocTrafficTrial:
     offered packet**, and one *chunk* is one bus run.  Per chunk, the trial
     draws a bus seed from the chunk generator, generates ``count`` packets
     according to the traffic pattern (sources, destinations, payloads and
-    arrival slots are all generator draws), drains them through an
-    epoch-batched :class:`~repro.noc.bus.OpticalBus` on the configured
-    backend, and returns each packet's delivery latency in seconds
-    (``NaN`` for packets that were corrupted or never drained).
+    arrival slots are all generator draws), hands them to an epoch-batched
+    :class:`~repro.noc.bus.OpticalBus` as columns
+    (:meth:`~repro.noc.bus.OpticalBus.offer_columns`: no per-packet
+    :class:`~repro.noc.packet.Packet` is built), drains the bus on the
+    configured backend, and returns each packet's delivery latency in
+    seconds (``NaN`` for packets that were corrupted or never drained),
+    scattered by sequence number from the bus's outcome columns.
 
     ``offered_load`` shapes the arrival process: packets arrive uniformly
     over a horizon sized so offered traffic consumes that fraction of the
@@ -224,7 +227,10 @@ class NocTrafficTrial:
     bound and latency measures backlog drain).  ``on_result`` (optional)
     receives each chunk's completed :class:`~repro.noc.bus.OpticalBus` for
     side statistics — aggregate counters via ``bus.statistics``, per-packet
-    outcomes via ``bus.outcomes``.
+    outcomes via the array columns of ``bus.outcomes`` (a
+    :class:`~repro.noc.bus.BusOutcomes` view; indexing it builds a
+    :class:`~repro.noc.bus.PacketOutcome` per packet, which is for tests and
+    examples, not for hot loops).
 
     The bus's per-link seeds derive from the chunk seed through the central
     seed-derivation policy, so chunks — and the (source, destination) links
@@ -243,8 +249,8 @@ class NocTrafficTrial:
     emitted_photons: Optional[float] = None
     epoch_packets: int = 64
     on_result: Optional[Callable] = None
-    #: Optional compute-kernel name forwarded to the bus (vectorised
-    #: arbitration + link kernels); bit-identical by contract.
+    #: Optional compute-kernel name forwarded to the bus's links (the
+    #: detection-scan kernel); bit-identical by contract.
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -329,22 +335,15 @@ class NocTrafficTrial:
         payloads = generator.integers(0, 2, size=(count, self.packet_bits))
         horizon = max(1, math.ceil(count * self.slots_per_packet / self.offered_load))
         arrivals = generator.integers(0, horizon, size=count)
-        for index in np.argsort(arrivals, kind="stable"):
-            index = int(index)
-            bus.offer(
-                Packet(
-                    source=int(sources[index]),
-                    destination=int(destinations[index]),
-                    payload=payloads[index],
-                    sequence=index,
-                ),
-                arrival_slot=int(arrivals[index]),
-            )
+        # Offered in arrival order; a packet's sequence number is its draw index.
+        order = np.argsort(arrivals, kind="stable")
+        bus.offer_columns(
+            sources[order], destinations[order], payloads[order], order, arrivals[order]
+        )
         bus.run(max_slots=horizon + (count + 1) * self.slots_per_packet)
+        outcomes = bus.outcomes
         latencies = np.full(count, np.nan)
-        for outcome in bus.outcomes:
-            if outcome.delivered:
-                latencies[outcome.packet.sequence] = outcome.latency
+        latencies[outcomes.sequence[outcomes.delivered]] = outcomes.latency[outcomes.delivered]
         if self.on_result is not None:
             self.on_result(bus)
         return latencies

@@ -166,12 +166,22 @@ class SpadDevice:
         self._last_fire_time: Optional[float] = None
         self._pending_afterpulse: Optional[float] = None
         self._rearmed_at: Optional[float] = None
+        self._pdp_cache: Optional[Tuple[PdpCurve, SpadConfig, float]] = None
 
     # -- static characteristics ------------------------------------------------
     @property
     def detection_probability(self) -> float:
-        """PDP at the configured wavelength and excess bias."""
-        return self.pdp_curve.pdp(self.config.wavelength, self.config.excess_bias)
+        """PDP at the configured wavelength and excess bias.
+
+        Looked up once per (PDP curve, configuration) pair: both are frozen,
+        so the value can only change when either attribute is replaced.
+        """
+        key = (self.pdp_curve, self.config)
+        cached = self._pdp_cache
+        if cached is None or cached[0] is not key[0] or cached[1] is not key[1]:
+            pdp = self.pdp_curve.pdp(self.config.wavelength, self.config.excess_bias)
+            self._pdp_cache = cached = (*key, pdp)
+        return cached[2]
 
     @property
     def dead_time(self) -> float:

@@ -11,6 +11,7 @@ blue/green, falling towards the red and near infrared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -87,8 +88,13 @@ class PdpCurve:
         return float(np.asarray(self.wavelengths)[index]), float(values[index])
 
 
+@lru_cache(maxsize=None)
 def default_cmos_pdp() -> PdpCurve:
-    """PDP curve approximating the ref [5] CMOS SPAD (0.8 um technology)."""
+    """PDP curve approximating the ref [5] CMOS SPAD (0.8 um technology).
+
+    Built once and shared: the curve is frozen, and every SPAD without its
+    own curve uses it.
+    """
     wavelengths = np.array([350, 400, 450, 500, 550, 600, 650, 700, 750, 800, 850, 900]) * NM
     pdp = np.array([0.05, 0.18, 0.30, 0.35, 0.33, 0.28, 0.22, 0.16, 0.11, 0.07, 0.04, 0.02])
     return PdpCurve(wavelengths=tuple(wavelengths), pdp_values=tuple(pdp))

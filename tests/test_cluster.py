@@ -213,6 +213,21 @@ class TestWorkerCountValidation:
         with pytest.raises(WorkerCountError, match="positive int"):
             ClusterExecutor(workers="h:1", fan_out=0)
 
+    @pytest.mark.parametrize("field", ["connect_timeout", "heartbeat_timeout"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -1.0, 0, 0.0, True, "5", None]
+    )
+    def test_cluster_timeouts_must_be_positive_and_finite(self, field, value):
+        # A NaN heartbeat would never declare a worker dead, and a negative
+        # one would drop every worker: both fail here, naming the field.
+        with pytest.raises(ValueError, match=field):
+            ClusterExecutor(workers="h:1", **{field: value})
+
+    def test_cluster_timeouts_accept_positive_numbers(self):
+        executor = ClusterExecutor(workers="h:1", connect_timeout=2, heartbeat_timeout=0.5)
+        assert (executor.connect_timeout, executor.heartbeat_timeout) == (2.0, 0.5)
+        executor.close()
+
     def test_resolver_routes_by_workers_shape(self):
         assert isinstance(resolve_executor(None, workers=2), ProcessExecutor)
         cluster = resolve_executor(None, workers="127.0.0.1:1")

@@ -12,6 +12,9 @@ epoch-batched slot loop:
   between the two paths, per the backend contract;
 * everything is deterministic per seed, and per-link seeds follow the central
   seed-derivation policy (no stream collisions);
+* traffic offered as columns (``offer_columns``) is the same traffic as
+  ``Packet``-at-a-time offers: identical outcomes and statistics, and the
+  same ``ValueError`` for an invalid row;
 * NoC traffic rides the experiment stack: ``noc_*`` scenario points evaluate
   through :class:`~repro.simulation.montecarlo.NocTrafficTrial`, process and
   serial executors produce bit-identical reports, and empty (zero-load)
@@ -24,11 +27,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _stats import assert_proportions_equal
 from repro.analysis.units import NS
 from repro.core.backend import make_link
 from repro.core.config import LinkConfig
+from repro.kernels import available_kernels
 from repro.noc import OpticalBus, Packet, StackTopology, broadcast
 from repro.photonics.stack import DieStack
 from repro.scenarios import ExperimentRunner, Scenario
@@ -283,6 +289,148 @@ class TestBroadcastEquivalence:
             outcome = bus.outcomes[0]
             assert set(outcome.receiver_errors) == {1, 2, 3}
             assert stats.bits_delivered == outcome.packet.total_bits * 3
+
+
+KERNELS = [name for name in ("python", "cext") if name in available_kernels()]
+
+
+@st.composite
+def mixed_traffic(draw, nodes: int = 4):
+    """Rows of ``(source, destination, payload, sequence, arrival)``.
+
+    Unicast, broadcast (255) and undeliverable (>= nodes) destinations, and
+    payloads of any length: ragged, and not always whole PPM symbols.
+    """
+    rows = []
+    arrival = 0
+    for sequence in range(draw(st.integers(1, 16))):
+        source = draw(st.integers(0, nodes - 1))
+        destination = draw(
+            st.one_of(st.integers(0, nodes - 1), st.just(255), st.integers(nodes, 254))
+        )
+        length = draw(st.integers(1, 24))
+        payload = draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
+        arrival += draw(st.integers(0, 40))
+        rows.append((source, destination, payload, sequence, arrival))
+    return rows
+
+
+def offer_as_columns(bus: OpticalBus, rows) -> None:
+    sources, destinations, payloads, sequences, arrivals = zip(*rows)
+    bus.offer_columns(
+        np.array(sources), np.array(destinations), list(payloads), np.array(sequences),
+        np.array(arrivals),
+    )
+
+
+class TestColumnarTraffic:
+    """Columns and one-``Packet``-at-a-time offers are the same traffic."""
+
+    def make_bus(self, backend, kernel):
+        # Dim enough that packets take bit errors.
+        return OpticalBus(
+            small_topology(), config=CONFIG, emitted_photons=150.0, seed=21,
+            backend=backend, epoch_packets=5, kernel=kernel,
+        )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("backend", ["batch", "scalar"])
+    @settings(max_examples=15, deadline=None)
+    @given(rows=mixed_traffic(), first_horizon=st.integers(1, 400))
+    def test_columns_and_packets_give_identical_outcomes(
+        self, backend, kernel, rows, first_horizon
+    ):
+        by_packet = self.make_bus(backend, kernel)
+        packets = [
+            Packet(source=source, destination=destination, payload=payload, sequence=sequence)
+            for source, destination, payload, sequence, _ in rows
+        ]
+        for packet, row in zip(packets, rows):
+            by_packet.offer(packet, arrival_slot=row[4])
+        by_columns = self.make_bus(backend, kernel)
+        offer_as_columns(by_columns, rows)
+        for bus in (by_packet, by_columns):
+            bus.run(max_slots=first_horizon)  # a clock that continues across runs
+            bus.run(max_slots=100_000)
+        assert by_columns.statistics == by_packet.statistics
+        expected, actual = by_packet.outcomes, by_columns.outcomes
+        assert len(actual) == len(expected) == len(rows)
+        for name in (
+            "sequence", "source", "destination", "arrival_slot", "start_slot", "end_slot",
+            "latency", "bit_errors", "bits_delivered", "delivered", "broadcast_records",
+            "receiver_errors",
+        ):
+            np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name), name)
+        for index in (0, -1):
+            # Indexing rebuilds the offered packet from the store.
+            outcome = actual[index]
+            assert outcome.packet.serialize() == packets[outcome.packet.sequence].serialize()
+            assert outcome.receiver_errors == expected[index].receiver_errors
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=mixed_traffic(),
+        data=st.data(),
+        fault=st.sampled_from(
+            [
+                ("source", -1), ("source", 256), ("source", 7),
+                ("destination", -1), ("destination", 256),
+                ("sequence", -1), ("sequence", 1 << 16),
+                ("payload", []), ("payload", [0, 2]), ("payload", [1, 0.5]),
+            ]
+        ),
+    )
+    def test_an_invalid_row_raises_what_its_packet_raises(self, rows, data, fault):
+        position = data.draw(st.integers(0, len(rows) - 1), label="position")
+        field_index = ("source", "destination", "payload", "sequence").index(fault[0])
+        row = list(rows[position])
+        row[field_index] = fault[1]
+        rows = [*rows[:position], tuple(row), *rows[position + 1 :]]
+        reference = self.make_bus("batch", None)
+        with pytest.raises(ValueError) as expected:
+            for source, destination, payload, sequence, arrival in rows:
+                reference.offer(
+                    Packet(source=source, destination=destination, payload=payload, sequence=sequence),
+                    arrival_slot=arrival,
+                )
+        bus = self.make_bus("batch", None)
+        with pytest.raises(ValueError) as actual:
+            offer_as_columns(bus, rows)
+        assert str(actual.value) == str(expected.value)
+        # All or nothing: a rejected batch queues nothing.
+        assert bus.statistics.packets_offered == 0
+        assert bus.arbiter.pending_count() == 0
+
+    def test_a_payload_matrix_is_the_same_as_payload_rows(self):
+        rng = np.random.default_rng(3)
+        sources = rng.integers(0, 4, 40)
+        destinations = (sources + rng.integers(1, 4, 40)) % 4
+        payloads = rng.integers(0, 2, (40, 30))
+        arrivals = np.sort(rng.integers(0, 400, 40))
+        buses = [self.make_bus("batch", None) for _ in range(2)]
+        buses[0].offer_columns(sources, destinations, payloads, np.arange(40), arrivals)
+        buses[1].offer_columns(sources, destinations, list(payloads), np.arange(40), arrivals)
+        for bus in buses:
+            bus.run(max_slots=100_000)
+        assert buses[0].statistics == buses[1].statistics
+        np.testing.assert_array_equal(buses[0].outcomes.bit_errors, buses[1].outcomes.bit_errors)
+        assert buses[0].statistics.bit_errors > 0
+
+    def test_traffic_trial_builds_no_packet(self, monkeypatch):
+        built = []
+        original = Packet.__post_init__
+
+        def counting(packet):
+            built.append(packet)
+            original(packet)
+
+        monkeypatch.setattr(Packet, "__post_init__", counting)
+        trial = NocTrafficTrial(config=CONFIG.with_detected_photons(20_000.0), backend="batch")
+        latencies = trial(np.random.default_rng(5), 64)
+        assert np.isfinite(latencies).sum() > 32
+        assert built == []
+        Packet(source=0, destination=1, payload=[1])  # the counter does count
+        assert len(built) == 1
 
 
 class TestNocTrafficTrial:

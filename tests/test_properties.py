@@ -101,6 +101,43 @@ def test_link_bit_path_contract(backend, ppm_bits, data):
     assert from_list.detection_counts == from_array.detection_counts
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    backend=st.sampled_from(["scalar", "batch", "multichannel"]),
+    ppm_bits=st.integers(1, 6),
+    photons=st.sampled_from([0.0, 0.5, 3.0, 200.0]),
+    slot_ps=st.sampled_from([250.0, 500.0, 2000.0]),
+    dead_time_ns=st.sampled_from([4.0, 32.0, 100.0]),
+    guard_ns=st.sampled_from([0.0, 16.0]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_detection_counts_conserve_symbols(
+    backend, ppm_bits, photons, slot_ps, dead_time_ns, guard_ns, seed, data
+):
+    # Every symbol window ends in exactly one origin (photon, dark count,
+    # afterpulse, crosstalk) or a miss, on every backend and kernel.
+    payload = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=80), label="payload")
+    config = LinkConfig(
+        ppm_bits=ppm_bits,
+        mean_detected_photons=photons,
+        slot_duration=slot_ps * PS,
+        spad_dead_time=dead_time_ns * 1e-9,
+        extra_guard=guard_ns * 1e-9,
+    )
+    options = {}
+    if backend == "multichannel":
+        options["channels"] = data.draw(st.integers(1, 4), label="channels")
+    # The scalar backend has no kernel slot: it runs once.
+    kernels = [None] if backend == "scalar" else [k for k in ("python", "cext") if k in available_kernels()]
+    for kernel in kernels:
+        if kernel is not None:
+            options["kernel"] = kernel
+        result = make_link(config, backend=backend, seed=seed, **options).transmit_bits(payload)
+        assert all(count >= 0 for count in result.detection_counts.values())
+        assert sum(result.detection_counts.values()) == result.symbols_sent, kernel
+
+
 # ----------------------------------------------------------------- scrambler / FEC
 @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=200), state=st.integers(0, 127))
 def test_scrambler_roundtrip(bits, state):
